@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet bench muxbench ingestbench chaos datagram dgfuzz fadingsweep crash cluster replfuzz journal protocol results examples clean
+.PHONY: all build test test-race vet bench muxbench ingestbench chaos datagram dgfuzz dgbench fadingsweep crash cluster replfuzz journal protocol results examples clean
 
 all: build vet test test-race
 
@@ -39,6 +39,13 @@ datagram:
 # stream layer must only ever see an in-order prefix).
 dgfuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDatagramFrame -fuzztime 10s ./internal/transport/
+
+# The datagram ARQ micro-benchmark: one 64 KiB picture per op through a
+# client flow and the listener over UDP loopback, on a clean and a
+# 2%-lossy packet channel, reporting allocs, DATA packets, ACKs and
+# retransmits per picture.
+dgbench:
+	$(GO) test -run '^$$' -bench BenchmarkDGConnTransfer -benchmem ./internal/transport/
 
 # Regenerate the fading-channel sweep: admissible load for raw vs
 # smoothed schedules under block fading with deadline-bound ARQ.

@@ -3,8 +3,10 @@ package transport
 import (
 	"bytes"
 	"io"
+	"net"
 	"testing"
 
+	"mpegsmooth/internal/faultnet"
 	"mpegsmooth/internal/mpeg"
 )
 
@@ -129,4 +131,84 @@ func BenchmarkFrameReaderPictures(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDGConnTransfer runs the datagram ARQ path over UDP loopback:
+// each op writes one 64 KiB picture through a client flow and waits
+// until the listener's flow has read all of it. Both directions run
+// through a faultnet.PacketNet, clean or with 2% loss and bounded
+// reorder. Beside allocs/op it reports what the flow spent per picture:
+// DATA packets (first sends and retransmits), ACKs and retransmits.
+func BenchmarkDGConnTransfer(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		ch   faultnet.PacketConfig
+	}{
+		{"clean", faultnet.PacketConfig{Seed: 1}},
+		{"lossy2pct", faultnet.PacketConfig{Seed: 1, LossProb: 0.02, ReorderProb: 0.02, ReorderSpan: 3}},
+	} {
+		b.Run(bc.name, func(b *testing.B) { benchDGTransfer(b, faultnet.NewPacketNet(bc.ch)) })
+	}
+}
+
+func benchDGTransfer(b *testing.B, nw *faultnet.PacketNet) {
+	const size = 64 << 10
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := ListenDatagram(nw.WrapPacketConn(pc), DatagramConfig{Seed: 2})
+	defer l.Close()
+	accepted := make(chan *DGConn, 1)
+	read := make(chan error, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			read <- err
+			return
+		}
+		accepted <- conn.(*DGConn)
+		buf := make([]byte, size)
+		for {
+			_, err := io.ReadFull(conn, buf)
+			read <- err
+			if err != nil {
+				return
+			}
+		}
+	}()
+
+	raddr, _ := net.ResolveUDPAddr("udp", l.Addr().String())
+	udp, err := net.DialUDP("udp", nil, raddr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewDatagramClientConn(nw.WrapConn(udp), DatagramConfig{Seed: 3})
+	defer c.Close()
+	picture := make([]byte, size)
+	transfer := func() {
+		if _, err := c.Write(picture); err != nil {
+			b.Fatal(err)
+		}
+		if err := <-read; err != nil {
+			b.Fatal(err)
+		}
+	}
+	transfer() // opens the flow and warms its buffers
+	srv := <-accepted
+	cli0, srv0 := c.Stats(), srv.Stats()
+
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		transfer()
+	}
+	b.StopTimer()
+	cli, s := c.Stats(), srv.Stats()
+	retx := cli.Retransmits + cli.FastRetransmits - cli0.Retransmits - cli0.FastRetransmits
+	n := float64(b.N)
+	b.ReportMetric(float64(cli.Sent-cli0.Sent+retx)/n, "data-pkts/op")
+	b.ReportMetric(float64(s.AcksSent-srv0.AcksSent)/n, "acks/op")
+	b.ReportMetric(float64(retx)/n, "retransmits/op")
 }

@@ -57,6 +57,11 @@ const (
 	// window with room for one displaced window of duplicates.
 	dgSendWindow = 64
 
+	// dgSendRing is the send ring's slot count: one beyond the largest
+	// window, for the FIN, which takes a sequence even when the window
+	// is full.
+	dgSendRing = dgSendWindow + 1
+
 	// dgReassemblyWindow bounds receiver buffering: a packet at or past
 	// rcvNext+window is a reorder overflow and tears the flow down. A
 	// conforming sender never exceeds rcvNext+dgSendWindow, so overflow

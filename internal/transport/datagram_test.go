@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mpegsmooth/internal/faultnet"
 )
 
 // TestDatagramCodecRoundTrip: every packet kind encodes and decodes to
@@ -371,5 +373,256 @@ func TestDatagramFrameProtocolOverARQ(t *testing.T) {
 		if !ok || *got != want {
 			t.Fatalf("echo %d mangled: %T %+v", i, msg, msg)
 		}
+	}
+}
+
+// transferOverARQ streams pictures×size bytes in picture-sized writes
+// from a client flow to a listener flow, both directions' egress
+// faulted by nw, and returns both flows' counters once the listener
+// side has read every byte intact.
+func transferOverARQ(t *testing.T, nw *faultnet.PacketNet, cfg DatagramConfig, pictures, size int) (cli, srv DGStats) {
+	t.Helper()
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen udp: %v", err)
+	}
+	srvCfg := cfg
+	srvCfg.Seed++
+	l := ListenDatagram(nw.WrapPacketConn(pc), srvCfg)
+	defer l.Close()
+
+	type result struct {
+		sum   uint64
+		n     int64
+		stats DGStats
+	}
+	srvDone := make(chan result, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			srvDone <- result{}
+			return
+		}
+		h := fnv.New64a()
+		n, _ := io.Copy(h, conn)
+		srvDone <- result{h.Sum64(), n, conn.(*DGConn).Stats()}
+		conn.Close()
+	}()
+
+	raddr, _ := net.ResolveUDPAddr("udp", l.Addr().String())
+	udp, err := net.DialUDP("udp", nil, raddr)
+	if err != nil {
+		t.Fatalf("dial udp: %v", err)
+	}
+	c := NewDatagramClientConn(nw.WrapConn(udp), cfg)
+	defer c.Close()
+
+	payload := make([]byte, pictures*size)
+	for i := range payload {
+		payload[i] = byte(i * 13)
+	}
+	want := fnv.New64a()
+	want.Write(payload)
+	c.SetWriteDeadline(time.Now().Add(20 * time.Second))
+	for off := 0; off < len(payload); off += size {
+		if _, err := c.Write(payload[off : off+size]); err != nil {
+			t.Fatalf("write at %d: %v", off, err)
+		}
+	}
+	c.Close() // FIN: the listener side's io.Copy ends at EOF
+
+	select {
+	case got := <-srvDone:
+		if got.n != int64(len(payload)) || got.sum != want.Sum64() {
+			t.Fatalf("listener read %d bytes (hash match %v), want %d intact",
+				got.n, got.sum == want.Sum64(), len(payload))
+		}
+		return c.Stats(), got.stats
+	case <-time.After(30 * time.Second):
+		t.Fatal("transfer did not complete")
+	}
+	return
+}
+
+// calmRTO is a retransmission timeout long enough that a loaded test
+// machine cannot fire it spuriously, so the tests using it see only
+// the retransmits that losses cause.
+var calmRTO = Backoff{Base: 250 * time.Millisecond, Max: time.Second}
+
+// TestDatagramNoRetransmitStorm: on a 2%-lossy, reordering channel the
+// sender resends about what the channel drops. ACKs already in flight
+// when a hole is fast-retransmitted must not fire it again, so the
+// retransmit ratio stays within 3× the measured drop rate and no
+// packet comes anywhere near the retransmission budget.
+func TestDatagramNoRetransmitStorm(t *testing.T) {
+	nw := faultnet.NewPacketNet(faultnet.PacketConfig{
+		Seed: 5, LossProb: 0.02, ReorderProb: 0.02, ReorderSpan: 3,
+	})
+	cfg := DatagramConfig{Seed: 81, RTO: calmRTO}.withDefaults()
+	cli, _ := transferOverARQ(t, nw, cfg, 128, 16<<10)
+
+	counts := nw.Counts()
+	drop := float64(counts.Dropped) / float64(counts.Packets)
+	retx := float64(cli.Retransmits+cli.FastRetransmits) / float64(cli.Sent)
+	t.Logf("drop rate %.4f, retransmits/sent %.4f, stats %+v", drop, retx, cli)
+	if counts.Dropped == 0 {
+		t.Fatalf("channel dropped nothing: %+v", counts)
+	}
+	if retx > 3*drop {
+		t.Errorf("retransmits/sent = %.4f, above 3× the channel's drop rate %.4f", retx, drop)
+	}
+	if cli.MaxTransmissions > int64(cfg.MaxRetransmits/2) {
+		t.Errorf("a packet took %d transmissions (budget %d)", cli.MaxTransmissions, cfg.MaxRetransmits)
+	}
+}
+
+// dropNthConn drops the nth datagram written through it and passes
+// every other one.
+type dropNthConn struct {
+	net.Conn
+	mu     sync.Mutex
+	n, nth int
+}
+
+func (c *dropNthConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	i := c.n
+	c.n++
+	c.mu.Unlock()
+	if i == c.nth {
+		return len(b), nil
+	}
+	return c.Conn.Write(b)
+}
+
+// TestDatagramOneFastRetransmitPerLoss: on a clean channel with one
+// forced drop inside a full-window burst, every later packet's ACK
+// reports the hole, yet the hole is fast-retransmitted exactly once
+// and never by timeout.
+func TestDatagramOneFastRetransmitPerLoss(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen udp: %v", err)
+	}
+	l := ListenDatagram(pc, DatagramConfig{Seed: 91})
+	defer l.Close()
+
+	const packets = 48
+	msg := bytes.Repeat([]byte{0x5A}, packets*DatagramMTU)
+	read := make(chan error, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			read <- err
+			return
+		}
+		defer conn.Close()
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		_, err = io.ReadFull(conn, make([]byte, len(msg)))
+		read <- err
+	}()
+
+	raddr, _ := net.ResolveUDPAddr("udp", l.Addr().String())
+	udp, err := net.DialUDP("udp", nil, raddr)
+	if err != nil {
+		t.Fatalf("dial udp: %v", err)
+	}
+	c := NewDatagramClientConn(&dropNthConn{Conn: udp, nth: 5}, DatagramConfig{Seed: 92, RTO: calmRTO})
+	defer c.Close()
+	if _, err := c.Write(msg); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if err := <-read; err != nil {
+		t.Fatalf("listener read: %v", err)
+	}
+	st := c.Stats()
+	if st.FastRetransmits != 1 || st.Retransmits != 0 {
+		t.Fatalf("one lost packet cost %d fast and %d timeout retransmits, want 1 and 0 (%+v)",
+			st.FastRetransmits, st.Retransmits, st)
+	}
+}
+
+// TestDatagramDelayedAcks: on a lossless channel the receiver acks
+// about every second DATA packet, not each one.
+func TestDatagramDelayedAcks(t *testing.T) {
+	nw := faultnet.NewPacketNet(faultnet.PacketConfig{Seed: 3})
+	cli, srv := transferOverARQ(t, nw, DatagramConfig{Seed: 101, RTO: calmRTO}, 64, 16<<10)
+	data := cli.Sent + cli.Retransmits + cli.FastRetransmits
+	t.Logf("data packets %d, acks %d", data, srv.AcksSent)
+	if float64(srv.AcksSent) > 0.6*float64(data) {
+		t.Fatalf("%d ACKs for %d DATA packets, want at most 0.6 per packet", srv.AcksSent, data)
+	}
+}
+
+// TestDatagramAckPolicy drives a receiving flow packet by packet: in-
+// order DATA is acked every second packet, while a gap, the packet
+// that fills it, a duplicate, and the FIN are each acked at once — so
+// gap evidence reaches the sender without delay.
+func TestDatagramAckPolicy(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		acks []dgPacket
+	)
+	send := func(b []byte) {
+		if p, err := decodeDatagram(b); err == nil && p.Kind == dgKindAck {
+			mu.Lock()
+			acks = append(acks, p)
+			mu.Unlock()
+		}
+	}
+	cfg := DatagramConfig{Seed: 111, Linger: time.Millisecond}.withDefaults()
+	c := newDGConn(cfg, 9, blackholeAddr{}, blackholeAddr{}, send, func() {})
+	defer c.Close()
+	last := func() (int, dgPacket) {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(acks), acks[len(acks)-1]
+	}
+
+	for seq := uint32(0); seq < 100; seq++ {
+		c.handlePacket(dgPacket{Kind: dgKindData, Conn: 9, Seq: seq, Payload: []byte{byte(seq)}})
+	}
+	n, ack := last()
+	if n > 60 || ack.Cum != 100 {
+		t.Fatalf("100 in-order packets drew %d ACKs (last cum %d), want about 50 ending at cum 100", n, ack.Cum)
+	}
+	steps := []struct {
+		name string
+		pkt  dgPacket
+		cum  uint32
+		bmp  uint64
+	}{
+		{"gap", dgPacket{Kind: dgKindData, Seq: 101, Payload: []byte{1}}, 100, 1},
+		{"gap filled", dgPacket{Kind: dgKindData, Seq: 100, Payload: []byte{0}}, 102, 0},
+		{"duplicate", dgPacket{Kind: dgKindData, Seq: 50, Payload: []byte{50}}, 102, 0},
+		{"fin", dgPacket{Kind: dgKindFin, Seq: 102}, 103, 0},
+	}
+	for _, s := range steps {
+		s.pkt.Conn = 9
+		c.handlePacket(s.pkt)
+		m, ack := last()
+		if m != n+1 || ack.Cum != s.cum || ack.Bitmap != s.bmp {
+			t.Fatalf("%s: %d new ACKs, last cum %d bitmap %#x; want 1 with cum %d bitmap %#x",
+				s.name, m-n, ack.Cum, ack.Bitmap, s.cum, s.bmp)
+		}
+		n = m
+	}
+}
+
+// TestDatagramFlowKey: the listener keys UDP peers by AddrPort without
+// allocating, and any other address by its String form.
+func TestDatagramFlowKey(t *testing.T) {
+	a := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4000}
+	if flowKeyOf(a) != flowKeyOf(&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4000}) {
+		t.Error("equal UDP addresses keyed apart")
+	}
+	if flowKeyOf(a) == flowKeyOf(&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4001}) {
+		t.Error("distinct UDP ports share a key")
+	}
+	if got := flowKeyOf(blackholeAddr{}); got != (flowKey{name: "blackhole"}) {
+		t.Errorf("non-UDP address keyed %+v", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = flowKeyOf(a) }); n != 0 {
+		t.Errorf("keying a UDP address allocates %.0f times", n)
 	}
 }

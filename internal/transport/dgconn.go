@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"net"
+	"net/netip"
 	"os"
 	"sync"
 	"time"
@@ -23,19 +25,29 @@ import (
 //
 // Reliability machinery, per direction:
 //
-//   - Send window of cfg.Window (≤ 64) packets. Write blocks while the
+//   - Send window of cfg.Window (≤ 64) packets, held in a fixed ring
+//     whose packet buffers the flow recycles. Write blocks while the
 //     window is full; every unacked packet is retransmitted on a
 //     jittered exponential timeout (transport.Backoff) and failed with
-//     ErrRetransmitExhausted after cfg.MaxRetransmits attempts.
-//   - Cumulative + bitmap acks. Each arriving DATA triggers an ACK
-//     carrying rcvNext and a 64-bit map of out-of-order packets held in
+//     ErrRetransmitExhausted after cfg.MaxRetransmits timeout attempts.
+//   - Cumulative + bitmap acks, delayed: the receiver acks every second
+//     in-order DATA packet, and at once on a gap, a duplicate, or FIN;
+//     the retransmit tick flushes an ack still owed. An ACK carries
+//     rcvNext and a 64-bit map of out-of-order packets held in
 //     reassembly; bitmap acks both stop retransmission of received
-//     packets and serve as gap evidence — a packet reported missing
-//     below a selectively-acked sequence dgGapRetransmit times is
-//     fast-retransmitted without waiting for its timeout.
-//   - Bounded reassembly (dgReassemblyWindow). Duplicates are dropped
-//     and re-acked (the duplicate means our ACK was lost); a sequence
-//     beyond the window tears the flow down with ErrReorderOverflow.
+//     packets and serve as gap evidence.
+//   - Send-order gap evidence. Every transmission takes the next value
+//     of a per-flow send counter. An unacked packet gains evidence only
+//     from an ACK newly reporting a packet first sent after the unacked
+//     packet's latest transmission; dgGapRetransmit such ACKs
+//     fast-retransmit it ahead of its timeout, and the resend restamps
+//     it, so ACKs already in flight cannot fire it again. That is one
+//     fast retransmit per loss per flight.
+//   - Bounded reassembly (dgReassemblyWindow), a ring of reusable
+//     slots plus a presence bitmap from which each ACK's bitmap is
+//     read in O(1). Duplicates are dropped and re-acked (the duplicate
+//     means our ACK was lost); a sequence beyond the window tears the
+//     flow down with ErrReorderOverflow.
 //   - FIN occupies a sequence slot, so end-of-stream is retransmitted
 //     and acked like data; the reader drains buffered bytes then io.EOF.
 //
@@ -57,8 +69,10 @@ type DatagramConfig struct {
 	// waits RTO.Delay(n) after the previous send. Defaults to
 	// Base 25ms / Max 1s with Backoff's factor-2 jittered growth.
 	RTO Backoff
-	// MaxRetransmits bounds attempts per packet before the flow fails
-	// with ErrRetransmitExhausted (default 14).
+	// MaxRetransmits bounds a packet's timeout-driven attempts, the
+	// first send included, before the flow fails with
+	// ErrRetransmitExhausted (default 14). Fast retransmits do not
+	// count against it.
 	MaxRetransmits int
 	// Linger bounds how long Close keeps retransmitting unacked packets
 	// (including the FIN) in the background before releasing the
@@ -135,6 +149,11 @@ type DGStats struct {
 	Sent            int64
 	Retransmits     int64
 	FastRetransmits int64
+	// MaxTransmissions is the most transmissions any one packet took,
+	// its first send and every retransmit included.
+	MaxTransmissions int64
+	// AcksSent counts ACK packets this flow transmitted.
+	AcksSent int64
 	// DupsDropped counts received duplicates (already delivered or
 	// already buffered); StaleDropped packets under a foreign
 	// connection ID.
@@ -142,13 +161,15 @@ type DGStats struct {
 	StaleDropped int64
 }
 
-// dgOut is one in-flight outbound packet.
+// dgOut is one send-window slot: an in-flight outbound packet.
 type dgOut struct {
-	buf      []byte // encoded packet, resent verbatim
-	attempts int    // transmissions so far
+	buf      []byte // encoded packet, resent verbatim; to spare once acked
+	attempts int    // first send plus timeout retransmits: the backoff step
+	sends    int    // every transmission, fast retransmits included
 	lastSent time.Time
-	acked    bool // selectively acked; kept until cum passes
-	gapHits  int  // times reported missing below a sacked sequence
+	first    uint64 // send counter at the first transmission
+	stamp    uint64 // send counter at the latest transmission
+	gapHits  int    // ACKs since then newly reporting a packet first sent after it
 }
 
 // DGConn is one datagram ARQ flow. It implements net.Conn, including
@@ -161,7 +182,8 @@ type DGConn struct {
 	remote net.Addr
 	// send transmits one encoded packet, best-effort: errors are
 	// ignored because the retransmission schedule is the delivery
-	// guarantee. done releases the underlying transport (closes the
+	// guarantee. It must not retain the slice, which is rewritten by
+	// later packets. done releases the underlying transport (closes the
 	// socket or deregisters from the listener) exactly once.
 	send func([]byte)
 	done func()
@@ -169,21 +191,34 @@ type DGConn struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	// Sender state: window [sndBase, sndNext), outs keyed by seq.
-	sndBase uint32
-	sndNext uint32
-	outs    map[uint32]*dgOut
-	finSent bool
+	// Sender state: window [sndBase, sndNext) in outs, slot
+	// seq % dgSendRing. sacked bit i marks sndBase+i selectively acked;
+	// sndClock counts transmissions.
+	sndBase  uint32
+	sndNext  uint32
+	outs     []dgOut
+	sacked   uint64
+	sndClock uint64
+	finSent  bool
 
-	// Receiver state: rcvBuf holds out-of-order packets ≥ rcvNext;
-	// readBuf is the in-order byte stream awaiting Read.
-	rcvNext uint32
-	rcvBuf  map[uint32][]byte
-	haveFin bool
-	finSeq  uint32
-	gotFin  bool // FIN delivered in order: EOF once readBuf drains
-	readBuf []byte
-	readOff int
+	// Receiver state: rcvSlots holds out-of-order packets ≥ rcvNext at
+	// slot seq % dgReassemblyWindow, rcvHeld bit seq % dgReassemblyWindow
+	// marks the slot occupied; readBuf is the in-order byte stream
+	// awaiting Read; ackOwed counts in-order DATA not yet acked.
+	rcvNext  uint32
+	rcvSlots [][]byte
+	rcvHeld  [dgReassemblyWindow / 64]uint64
+	ackOwed  int
+	haveFin  bool
+	finSeq   uint32
+	gotFin   bool // FIN delivered in order: EOF once readBuf drains
+	readBuf  []byte
+	readOff  int
+
+	// spare holds the packet buffers of acked and delivered slots, so
+	// a flow allocates only for its peak of packets in flight or
+	// parked. The rings and spare are dropped when the flow stops.
+	spare [][]byte
 
 	rdl, wdl           time.Time
 	rdlTimer, wdlTimer *time.Timer
@@ -202,16 +237,16 @@ type DGConn struct {
 func newDGConn(cfg DatagramConfig, connID uint32, local, remote net.Addr,
 	send func([]byte), done func()) *DGConn {
 	c := &DGConn{
-		cfg:    cfg,
-		connID: connID,
-		local:  local,
-		remote: remote,
-		send:   send,
-		done:   done,
-		outs:   make(map[uint32]*dgOut),
-		rcvBuf: make(map[uint32][]byte),
-		stopCh: make(chan struct{}),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		cfg:      cfg,
+		connID:   connID,
+		local:    local,
+		remote:   remote,
+		send:     send,
+		done:     done,
+		outs:     make([]dgOut, dgSendRing),
+		rcvSlots: make([][]byte, dgReassemblyWindow),
+		stopCh:   make(chan struct{}),
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	go c.retransmitLoop()
@@ -265,15 +300,52 @@ func (c *DGConn) waitWindowLocked() error {
 	}
 }
 
-// transmitLocked assigns the next sequence, records the packet in the
-// send window, and transmits it once.
+// outLocked returns seq's send-window slot.
+func (c *DGConn) outLocked(seq uint32) *dgOut {
+	return &c.outs[seq%dgSendRing]
+}
+
+// bufLocked returns an empty packet buffer with room for n bytes,
+// reusing a spare one when it fits.
+func (c *DGConn) bufLocked(n int) []byte {
+	if k := len(c.spare); k > 0 && cap(c.spare[k-1]) >= n {
+		b := c.spare[k-1]
+		c.spare = c.spare[:k-1]
+		return b[:0]
+	}
+	return make([]byte, 0, max(n, dgDataHeader+c.cfg.MTU+dgTrailer))
+}
+
+// sackedLocked reports whether seq, in the send window, was
+// selectively acked.
+func (c *DGConn) sackedLocked(seq uint32) bool {
+	return c.sacked>>(seq-c.sndBase)&1 != 0
+}
+
+// transmitLocked assigns the next sequence, encodes the packet into
+// its send-window slot, and transmits it once.
 func (c *DGConn) transmitLocked(kind byte, payload []byte) {
 	seq := c.sndNext
 	c.sndNext++
-	buf := appendDataPacket(nil, kind, c.connID, seq, payload)
-	c.outs[seq] = &dgOut{buf: buf, attempts: 1, lastSent: time.Now()}
+	out := c.outLocked(seq)
+	buf := c.bufLocked(dgDataHeader + len(payload) + dgTrailer)
+	*out = dgOut{buf: appendDataPacket(buf, kind, c.connID, seq, payload), attempts: 1}
 	c.stats.Sent++
-	c.send(buf)
+	c.sendOutLocked(out, time.Now())
+	out.first = out.stamp
+}
+
+// sendOutLocked transmits out under a fresh send stamp, so only
+// packets first sent after this copy can count as evidence that it,
+// too, was lost.
+func (c *DGConn) sendOutLocked(out *dgOut, now time.Time) {
+	c.sndClock++
+	out.stamp = c.sndClock
+	out.lastSent = now
+	out.gapHits = 0
+	out.sends++
+	c.stats.MaxTransmissions = max(c.stats.MaxTransmissions, int64(out.sends))
+	c.send(out.buf)
 }
 
 // Read delivers in-order bytes, blocking until data, EOF, a terminal
@@ -326,6 +398,12 @@ func (c *DGConn) handlePacket(pkt dgPacket) {
 	}
 }
 
+// heldLocked reports whether reassembly slot seq % window is occupied.
+func (c *DGConn) heldLocked(seq uint32) bool {
+	i := seq % dgReassemblyWindow
+	return c.rcvHeld[i/64]>>(i%64)&1 != 0
+}
+
 func (c *DGConn) handleDataLocked(pkt dgPacket) {
 	switch {
 	case pkt.Seq < c.rcvNext:
@@ -338,46 +416,67 @@ func (c *DGConn) handleDataLocked(pkt dgPacket) {
 		c.failLocked(fmt.Errorf("seq %d beyond reassembly window [%d,%d): %w",
 			pkt.Seq, c.rcvNext, c.rcvNext+dgReassemblyWindow, ErrReorderOverflow))
 		return
-	}
-	if _, dup := c.rcvBuf[pkt.Seq]; dup {
+	case c.heldLocked(pkt.Seq):
 		c.stats.DupsDropped++
 		c.sendAckLocked()
 		return
 	}
-	// The payload aliases the caller's read buffer — copy to retain.
-	c.rcvBuf[pkt.Seq] = append([]byte(nil), pkt.Payload...)
 	if pkt.Kind == dgKindFin {
 		c.haveFin = true
 		c.finSeq = pkt.Seq
 	}
-	for {
-		b, ok := c.rcvBuf[c.rcvNext]
-		if !ok {
-			break
-		}
-		delete(c.rcvBuf, c.rcvNext)
-		if c.haveFin && c.rcvNext == c.finSeq {
-			c.gotFin = true
-		} else {
-			c.readBuf = append(c.readBuf, b...)
-		}
-		c.rcvNext++
+	if pkt.Seq != c.rcvNext {
+		// A gap: park a copy (the payload aliases the caller's read
+		// buffer) and ack at once, so the sender sees the evidence.
+		i := pkt.Seq % dgReassemblyWindow
+		c.rcvSlots[i] = append(c.bufLocked(len(pkt.Payload)), pkt.Payload...)
+		c.rcvHeld[i/64] |= 1 << (i % 64)
+		c.sendAckLocked()
+		return
 	}
-	c.sendAckLocked()
+	gap := c.rcvHeld != [len(c.rcvHeld)]uint64{}
+	c.deliverLocked(pkt.Payload)
+	for c.heldLocked(c.rcvNext) {
+		i := c.rcvNext % dgReassemblyWindow
+		c.rcvHeld[i/64] &^= 1 << (i % 64)
+		c.deliverLocked(c.rcvSlots[i])
+		c.spare = append(c.spare, c.rcvSlots[i])
+		c.rcvSlots[i] = nil
+	}
 	c.cond.Broadcast()
+	// Delayed ack: every second in-order packet, unless this one
+	// closed (part of) a gap or ended the stream.
+	if c.ackOwed++; gap || c.gotFin || c.ackOwed >= 2 {
+		c.sendAckLocked()
+	}
+}
+
+// deliverLocked appends packet rcvNext to the in-order stream (or, for
+// the FIN, marks end-of-stream) and advances rcvNext.
+func (c *DGConn) deliverLocked(payload []byte) {
+	if c.haveFin && c.rcvNext == c.finSeq {
+		c.gotFin = true
+	} else {
+		if c.readOff > 0 && len(c.readBuf)+len(payload) > cap(c.readBuf) {
+			// Reclaim the consumed prefix before append would grow.
+			n := copy(c.readBuf, c.readBuf[c.readOff:])
+			c.readBuf, c.readOff = c.readBuf[:n], 0
+		}
+		c.readBuf = append(c.readBuf, payload...)
+	}
+	c.rcvNext++
 }
 
 // sendAckLocked transmits the receiver's current cumulative + bitmap
-// acknowledgement.
+// acknowledgement. The bitmap (bit i: rcvNext+1+i held) is the 64
+// presence bits following rcvNext, read straight off the ring.
 func (c *DGConn) sendAckLocked() {
-	cum := c.rcvNext
-	var bitmap uint64
-	for i := uint32(0); i < 64; i++ {
-		if _, ok := c.rcvBuf[cum+1+i]; ok {
-			bitmap |= 1 << i
-		}
-	}
-	c.ackScratch = appendAckPacket(c.ackScratch[:0], c.connID, cum, bitmap)
+	i := (c.rcvNext + 1) % dgReassemblyWindow
+	w, s := i/64, i%64
+	bitmap := c.rcvHeld[w]>>s | c.rcvHeld[(w+1)%uint32(len(c.rcvHeld))]<<(64-s)
+	c.ackOwed = 0
+	c.stats.AcksSent++
+	c.ackScratch = appendAckPacket(c.ackScratch[:0], c.connID, c.rcvNext, bitmap)
 	c.send(c.ackScratch)
 }
 
@@ -390,50 +489,57 @@ func (c *DGConn) handleAckLocked(pkt dgPacket) {
 			pkt.Cum, c.sndNext, ErrStaleDuplicate))
 		return
 	}
-	for c.sndBase < pkt.Cum {
-		delete(c.outs, c.sndBase)
-		c.sndBase++
+	if pkt.Cum > c.sndBase {
+		for ; c.sndBase < pkt.Cum; c.sndBase++ {
+			out := c.outLocked(c.sndBase)
+			c.spare = append(c.spare, out.buf)
+			out.buf = nil
+			c.sacked >>= 1
+		}
+		// The window opened: wake writers and the Close drain.
+		c.cond.Broadcast()
 	}
-	var maxSacked uint32
-	sacked := false
-	for i := 0; i < 64; i++ {
-		if pkt.Bitmap&(1<<i) == 0 {
+	// Rebase the ACK's bitmap (bit i: Cum+1+i) onto sndBase; an older,
+	// reordered ACK has Cum below it. Bits past sndNext are ignored.
+	var rel uint64
+	if pkt.Cum == c.sndBase {
+		rel = pkt.Bitmap << 1
+	} else {
+		rel = pkt.Bitmap >> (c.sndBase - pkt.Cum - 1)
+	}
+	if inflight := c.sndNext - c.sndBase; inflight < 64 {
+		rel &= 1<<inflight - 1
+	}
+	fresh := rel &^ c.sacked
+	if fresh == 0 {
+		return
+	}
+	c.sacked |= fresh
+	// Gap evidence. First sends go out in sequence order, so a missing
+	// packet below the highest newly reported one whose latest
+	// transmission predates that packet's first was overtaken on the
+	// channel. The first transmission counts because an ACK cannot say
+	// which copy arrived. dgGapRetransmit such reports fast-retransmit
+	// the packet ahead of its timeout.
+	top := uint32(63 - bits.LeadingZeros64(fresh))
+	latest := c.outLocked(c.sndBase + top).first
+	now := time.Now()
+	for b := ^c.sacked & (1<<top - 1); b != 0; b &= b - 1 {
+		out := c.outLocked(c.sndBase + uint32(bits.TrailingZeros64(b)))
+		if out.stamp > latest {
 			continue
 		}
-		seq := pkt.Cum + 1 + uint32(i)
-		if out, ok := c.outs[seq]; ok {
-			out.acked = true
-		}
-		if seq < c.sndNext {
-			maxSacked, sacked = seq, true
+		if out.gapHits++; out.gapHits >= dgGapRetransmit {
+			c.stats.FastRetransmits++
+			c.sendOutLocked(out, now)
 		}
 	}
-	if sacked {
-		// Gap evidence: every unacked sequence below the highest
-		// selectively-acked one was missing when the receiver acked.
-		// Enough consecutive reports trigger fast retransmit ahead of
-		// the timeout.
-		now := time.Now()
-		for seq := c.sndBase; seq < maxSacked; seq++ {
-			out, ok := c.outs[seq]
-			if !ok || out.acked {
-				continue
-			}
-			if out.gapHits++; out.gapHits >= dgGapRetransmit {
-				out.gapHits = 0
-				out.attempts++
-				out.lastSent = now
-				c.stats.FastRetransmits++
-				c.send(out.buf)
-			}
-		}
-	}
-	c.cond.Broadcast()
 }
 
 // retransmitLoop scans the send window and resends packets whose
 // jittered RTO has elapsed, failing the flow once a packet exhausts
-// its attempt budget.
+// its attempt budget. Each tick also flushes an ACK the receiver side
+// still owes.
 func (c *DGConn) retransmitLoop() {
 	tick := c.cfg.RTO.Base / 4
 	if tick < time.Millisecond {
@@ -451,13 +557,17 @@ func (c *DGConn) retransmitLoop() {
 			return
 		}
 		c.mu.Lock()
+		if c.stopped {
+			c.mu.Unlock()
+			return
+		}
+		if c.ackOwed > 0 {
+			c.sendAckLocked()
+		}
 		now := time.Now()
 		for seq := c.sndBase; seq < c.sndNext && c.err == nil; seq++ {
-			out, ok := c.outs[seq]
-			if !ok || out.acked {
-				continue
-			}
-			if now.Sub(out.lastSent) < c.cfg.RTO.Delay(out.attempts, c.rng) {
+			out := c.outLocked(seq)
+			if c.sackedLocked(seq) || now.Sub(out.lastSent) < c.cfg.RTO.Delay(out.attempts, c.rng) {
 				continue
 			}
 			if out.attempts >= c.cfg.MaxRetransmits {
@@ -466,15 +576,10 @@ func (c *DGConn) retransmitLoop() {
 				break
 			}
 			out.attempts++
-			out.lastSent = now
 			c.stats.Retransmits++
-			c.send(out.buf)
+			c.sendOutLocked(out, now)
 		}
-		stopped := c.stopped
 		c.mu.Unlock()
-		if stopped {
-			return
-		}
 	}
 }
 
@@ -491,7 +596,13 @@ func (c *DGConn) stopLocked() {
 	if c.stopped {
 		return
 	}
+	if c.ackOwed > 0 && c.err == nil {
+		c.sendAckLocked()
+	}
 	c.stopped = true
+	// A stopped flow sends and reassembles nothing more; drop its
+	// buffers now, since callers may keep the conn for its Stats.
+	c.outs, c.rcvSlots, c.spare = nil, nil, nil
 	close(c.stopCh)
 	c.cond.Broadcast()
 	c.doneOnce.Do(func() { go c.done() })
@@ -515,7 +626,7 @@ func (c *DGConn) Close() error {
 		// when writers are stalled against a full window.
 		c.transmitLocked(dgKindFin, nil)
 	}
-	if c.err != nil || c.stopped || len(c.outs) == 0 {
+	if c.err != nil || c.stopped || c.sndBase == c.sndNext {
 		c.stopLocked()
 		c.mu.Unlock()
 		return nil
@@ -533,7 +644,7 @@ func (c *DGConn) drainThenStop() {
 	timer := time.AfterFunc(c.cfg.Linger, c.cond.Broadcast)
 	defer timer.Stop()
 	c.mu.Lock()
-	for c.err == nil && !c.stopped && len(c.outs) > 0 && time.Now().Before(deadline) {
+	for c.err == nil && !c.stopped && c.sndBase != c.sndNext && time.Now().Before(deadline) {
 		c.cond.Wait()
 	}
 	c.stopLocked()
@@ -585,7 +696,7 @@ type DatagramListener struct {
 	cfg DatagramConfig
 
 	mu      sync.Mutex
-	conns   map[string]*DGConn
+	conns   map[flowKey]*DGConn
 	closed  bool
 	acceptQ chan *DGConn
 	closeCh chan struct{}
@@ -599,7 +710,7 @@ func ListenDatagram(pc net.PacketConn, cfg DatagramConfig) *DatagramListener {
 	l := &DatagramListener{
 		pc:      pc,
 		cfg:     cfg,
-		conns:   make(map[string]*DGConn),
+		conns:   make(map[flowKey]*DGConn),
 		acceptQ: make(chan *DGConn, cfg.AcceptBacklog),
 		closeCh: make(chan struct{}),
 	}
@@ -657,7 +768,7 @@ func (l *DatagramListener) demux() {
 		if derr != nil {
 			continue // corrupt datagrams drop silently, like loss
 		}
-		key := addr.String()
+		key := flowKeyOf(addr)
 		l.mu.Lock()
 		c := l.conns[key]
 		if c == nil {
@@ -682,9 +793,23 @@ func (l *DatagramListener) isClosed() bool {
 	return l.closed
 }
 
+// flowKey identifies a flow by its peer's address: the AddrPort of a
+// UDP peer, the String form of any other net.Addr.
+type flowKey struct {
+	ap   netip.AddrPort
+	name string
+}
+
+func flowKeyOf(addr net.Addr) flowKey {
+	if u, ok := addr.(*net.UDPAddr); ok {
+		return flowKey{ap: u.AddrPort()}
+	}
+	return flowKey{name: addr.String()}
+}
+
 // newFlowLocked creates the server-side DGConn for a new source
 // address, adopting the client's connection ID.
-func (l *DatagramListener) newFlowLocked(key string, addr net.Addr, connID uint32) *DGConn {
+func (l *DatagramListener) newFlowLocked(key flowKey, addr net.Addr, connID uint32) *DGConn {
 	cfg := l.cfg
 	// Decorrelate per-flow jitter while keeping it derived from the
 	// listener seed, for reproducible tests.
