@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet bench muxbench ingestbench chaos datagram dgfuzz dgbench fadingsweep crash cluster replfuzz journal protocol results examples clean
+.PHONY: all build test test-race vet bench benchtest muxbench ingestbench chaos datagram dgfuzz dgbench fadingsweep crash cluster replfuzz journal protocol results examples clean
 
 all: build vet test test-race
 
@@ -101,6 +101,13 @@ results:
 # without re-running the unit tests.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
+
+# The smoothd benchmark's own unit tests. smoothbench is a separate Go
+# module (the root module's test run skips it) that compiles against
+# the transport, server and cluster APIs, so an API break fails here
+# rather than in a benchmark run.
+benchtest:
+	cd smoothbench && $(GO) test ./...
 
 # The event-engine scale benchmark: the seed heap scheduler vs the
 # timing-wheel engine (per-cell and fluid) on the 1000-source

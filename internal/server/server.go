@@ -192,6 +192,14 @@ type Server struct {
 	egress *link
 	wg     sync.WaitGroup
 
+	// pool recycles picture payload buffers across every stream: each
+	// connection's FrameReader draws payloads from it (hello and resume
+	// paths alike), and a buffer goes back once its bytes are finished
+	// with — after egress paces the picture onto the link, or at once
+	// when a replayed duplicate is dropped. Shared, so a short stream
+	// starts on buffers earlier streams warmed.
+	pool transport.BufferPool
+
 	mu        sync.Mutex
 	admission *netsim.Admission
 	streams   map[uint64]*stream
@@ -545,6 +553,7 @@ func (s *Server) journalComplete(st *stream) (uint64, error) {
 func (s *Server) handle(conn net.Conn) {
 	fr := transport.NewFrameReaderBuffered(conn)
 	fr.MaxPayload = s.cfg.MaxPictureBytes
+	fr.Pool = &s.pool
 	fw := transport.NewFrameWriter(conn)
 	fw.WriteTimeout = s.cfg.WriteTimeout
 	fw.MaxPayload = s.cfg.MaxPictureBytes
@@ -769,10 +778,6 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		h = hello.GOP.N
 	}
 	st := newStream(conn, fr, fw, *hello, s.cfg.QueueLen, ph)
-	// Hand the reader the stream's payload pool: ingest reads each
-	// picture into a recycled buffer, and egress (or the duplicate-drop
-	// path) returns it once the bytes are finished with.
-	fr.Pool = &st.pool
 	sess, err := core.NewSession(hello.Tau, hello.GOP, core.Config{
 		K: hello.K, D: hello.D, H: h, Policy: s.cfg.Policy,
 	}, core.WithObserver(st.observe))
@@ -916,7 +921,7 @@ func (s *Server) run(st *stream, admitErr error) error {
 	}
 	egressDone := make(chan error, 1)
 	go func() {
-		egressDone <- st.runEgress(s.ctx, s.egress, s.cfg.Clock, s.cfg.TimeScale)
+		egressDone <- st.runEgress(s.ctx, s.egress, &s.pool, s.cfg.Clock, s.cfg.TimeScale)
 	}()
 	ingestErr := st.runIngest(s.ctx, s)
 	egressErr := <-egressDone

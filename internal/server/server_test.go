@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http/httptest"
@@ -396,40 +397,63 @@ func TestOpsEndpoint(t *testing.T) {
 }
 
 // TestSoakConcurrentClients is the acceptance soak: 28 identical
-// clients hit a link provisioned for exactly 20 of them. Exactly 20 are
-// admitted (in whatever order the race resolves), every admitted stream
-// completes within its delay bound, and the 8 others are rejected at
-// admission — never dropped mid-stream.
+// clients hit a link provisioned for exactly 20 of them. All 28 open
+// their sessions before any admitted client sends, so no early
+// finisher frees capacity for a late hello: exactly 20 are admitted,
+// the 8 others are rejected at admission — never dropped mid-stream —
+// and the 20 then stream concurrently, each completing within its delay
+// bound.
 func TestSoakConcurrentClients(t *testing.T) {
 	const admitN, totalN = 20, 28
 	kit := makeClient(t, testTrace(t, 36))
 	srv, addr := startServer(t, Config{LinkRate: float64(admitN) * kit.hello.PeakRate})
 
+	type session struct {
+		conn net.Conn
+		fw   *transport.FrameWriter
+	}
+	var (
+		sessions []session
+		rejected int
+	)
+	for i := 0; i < totalN; i++ {
+		conn, fw, v := kit.handshake(t, addr)
+		switch {
+		case v.IsAdmitted():
+			defer conn.Close()
+			sessions = append(sessions, session{conn, fw})
+		case v.Code == transport.RejectedCapacity:
+			rejected++
+			conn.Close()
+		default:
+			conn.Close()
+			t.Fatalf("client %d: verdict %+v", i, v)
+		}
+	}
+	admitted := len(sessions)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
-		admitted int
-		rejected int
 		failures []error
 	)
-	for i := 0; i < totalN; i++ {
+	for i, ss := range sessions {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, ss session) {
 			defer wg.Done()
-			v, err := kit.stream(t.Context(), addr)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err != nil:
-				failures = append(failures, fmt.Errorf("client %d: %w", i, err))
-			case v.IsAdmitted():
-				admitted++
-			case v.Code == transport.RejectedCapacity:
-				rejected++
-			default:
-				failures = append(failures, fmt.Errorf("client %d: verdict %+v", i, v))
+			sender := transport.Sender{TimeScale: soakTimeScale}
+			err := sender.Send(t.Context(), ss.fw, kit.sched, kit.payloads)
+			if err == nil {
+				// Wait for the completion ack and the server's close so
+				// its final write never races ours.
+				ss.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+				_, err = io.Copy(io.Discard, ss.conn)
 			}
-		}(i)
+			if err != nil {
+				mu.Lock()
+				failures = append(failures, fmt.Errorf("client %d: %w", i, err))
+				mu.Unlock()
+			}
+		}(i, ss)
 	}
 	wg.Wait()
 	for _, err := range failures {

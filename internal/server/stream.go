@@ -58,15 +58,6 @@ type stream struct {
 	// absolute stream indices.
 	base int
 
-	// pool recycles picture payload buffers across this stream's frames:
-	// the FrameReader (fr.Pool) draws each payload from it, and the
-	// buffer goes back once its bytes are finished with — after egress
-	// paces the picture onto the link, or immediately when a replayed
-	// duplicate is dropped. Per-stream (not global) so buffer sizes
-	// settle to the stream's own picture distribution and a resumed
-	// connection inherits warm buffers via adopt.
-	pool transport.BufferPool
-
 	mu           sync.Mutex
 	conn         net.Conn
 	fr           *transport.FrameReader
@@ -341,7 +332,7 @@ func (st *stream) runIngest(ctx context.Context, s *Server) error {
 				st.mu.Lock()
 				st.faults.DuplicatesDropped++
 				st.mu.Unlock()
-				st.pool.Put(m.Payload)
+				s.pool.Put(m.Payload)
 				continue
 			}
 			if m.Index > exp {
@@ -420,12 +411,9 @@ func (st *stream) awaitResume(ctx context.Context, s *Server, cause error) error
 	return fmt.Errorf("server: no resume within %v: %w", s.cfg.ResumeWindow, cause)
 }
 
-// adopt installs a resumed connection as the stream's current one. The
-// fresh connection's reader joins the stream's payload pool, so a
-// resume inherits the warm buffers its predecessor filled.
+// adopt installs a resumed connection as the stream's current one.
 func (st *stream) adopt(rc resumedConn) {
 	st.mu.Lock()
-	rc.fr.Pool = &st.pool
 	st.conn = rc.conn
 	st.fr = rc.fr
 	st.fw = rc.fw
@@ -440,8 +428,9 @@ func (st *stream) adopt(rc resumedConn) {
 // runEgress paces decided pictures onto the shared link at their decided
 // rates, on the stream's own schedule clock (origin = first dequeue).
 // Decision Start/Depart times are schedule seconds; TimeScale compresses
-// them to wall time exactly as transport.Sender does.
-func (st *stream) runEgress(ctx context.Context, lk *link, clock transport.Clock, scale float64) error {
+// them to wall time exactly as transport.Sender does. Each payload goes
+// back to pool once it has fully crossed the link.
+func (st *stream) runEgress(ctx context.Context, lk *link, pool *transport.BufferPool, clock transport.Clock, scale float64) error {
 	defer st.setCurrentRate(0)
 	var origin time.Time
 	started := false
@@ -478,8 +467,8 @@ func (st *stream) runEgress(ctx context.Context, lk *link, clock transport.Clock
 		st.egressedBits += int64(len(it.payload)) * 8
 		st.mu.Unlock()
 		// The picture has fully crossed the link; recycle its buffer for
-		// the reader's next frame.
-		st.pool.Put(it.payload)
+		// the next frame any reader takes.
+		pool.Put(it.payload)
 	}
 	return nil
 }

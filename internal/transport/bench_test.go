@@ -34,40 +34,95 @@ func encodePictures(tb testing.TB, count, payloadBytes int) []byte {
 
 // TestFrameReaderSteadyStateZeroAlloc pins the ingest hot path at zero
 // allocations per frame: a pooled FrameReader decoding a steady stream
-// of pictures must reuse its scratch buffer, its PictureFrame value,
-// and the pooled payload buffers, allocating nothing once warm. A
+// of pictures must reuse its read buffers, its PictureFrame value, and
+// the pooled payload buffers, allocating nothing once warm. A
 // regression here puts the garbage collector back in the per-picture
 // path, which is exactly what the pool exists to prevent.
+//
+// The short-streams case is the server's shape: many six-picture
+// streams of mixed sizes, each on its own reader, all drawing from one
+// pool and each holding a few payloads in flight the way the egress
+// queue does. A pool per stream starts every stream cold and allocates
+// its first pictures; the shared pool must not allocate at all.
 func TestFrameReaderSteadyStateZeroAlloc(t *testing.T) {
 	const runs = 200
-	stream := encodePictures(t, runs+8, 4096)
-	fr := NewFrameReader(bytes.NewReader(stream))
-	var pool BufferPool
-	fr.Pool = &pool
+	t.Run("steady", func(t *testing.T) {
+		stream := encodePictures(t, runs+8, 4096)
+		fr := NewFrameReader(bytes.NewReader(stream))
+		var pool BufferPool
+		fr.Pool = &pool
 
-	readOne := func() {
-		m, err := fr.ReadMessage()
-		if err != nil {
-			t.Fatal(err)
+		readOne := func() {
+			pool.Put(readPicture(t, fr).Payload)
 		}
-		pic, ok := m.(*PictureFrame)
-		if !ok {
-			t.Fatalf("read %T, want *PictureFrame", m)
+		// Warm up: the first read seeds the pool.
+		for i := 0; i < 4; i++ {
+			readOne()
 		}
-		pool.Put(pic.Payload)
+		if allocs := testing.AllocsPerRun(runs, readOne); allocs != 0 {
+			t.Errorf("steady-state pooled frame read allocates %.1f objects/frame, want 0", allocs)
+		}
+	})
+	t.Run("short-streams-mixed-sizes", func(t *testing.T) {
+		const perStream, inFlight = 6, 3
+		sizes := []int{300, 4096, 1500, 40000, 700, 9000, 20000, 2048, 65536, 260, 12000}
+		var pool BufferPool
+		// Every reader exists before the measurement starts: opening a
+		// connection allocates, and this test is about payloads.
+		var readers []*FrameReader
+		for k := 0; len(readers)*perStream < 2*runs; k++ {
+			var buf bytes.Buffer
+			fw := NewFrameWriter(&buf)
+			for i := 0; i < perStream; i++ {
+				payload := make([]byte, sizes[(k*perStream+i*5)%len(sizes)])
+				if err := fw.WritePictureHeader(i, mpeg.TypeP, payload); err != nil {
+					t.Fatal(err)
+				}
+				if err := fw.WriteChunk(payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fr := NewFrameReader(bytes.NewReader(buf.Bytes()))
+			fr.Pool = &pool
+			readers = append(readers, fr)
+		}
+		var held [inFlight][]byte
+		read := 0
+		readOne := func() {
+			fr := readers[read/perStream]
+			slot := read % inFlight
+			pool.Put(held[slot])
+			held[slot] = readPicture(t, fr).Payload
+			read++
+		}
+		// Warm up on the first streams, then measure on fresh ones.
+		for read < runs/2 {
+			readOne()
+		}
+		if allocs := testing.AllocsPerRun(runs, readOne); allocs != 0 {
+			t.Errorf("short streams on one pool allocate %.2f objects/frame, want 0", allocs)
+		}
+	})
+}
+
+// readPicture reads the next message from fr, which must be a picture.
+func readPicture(t *testing.T, fr *FrameReader) *PictureFrame {
+	m, err := fr.ReadMessage()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Warm up: first reads grow the scratch buffer and seed the pool.
-	for i := 0; i < 4; i++ {
-		readOne()
+	pic, ok := m.(*PictureFrame)
+	if !ok {
+		t.Fatalf("read %T, want *PictureFrame", m)
 	}
-	if allocs := testing.AllocsPerRun(runs, readOne); allocs != 0 {
-		t.Errorf("steady-state pooled frame read allocates %.1f objects/frame, want 0", allocs)
-	}
+	return pic
 }
 
 // TestFrameWriterSteadyStateZeroAlloc pins the egress side the same
 // way: once the writer's scratch buffer is warm, framing a picture
-// header and its payload chunk must not allocate.
+// must not allocate — one message per call, or the Sender's coalesced
+// opening write (rate notification, header and first chunk) followed
+// by the remaining chunks.
 func TestFrameWriterSteadyStateZeroAlloc(t *testing.T) {
 	fw := NewFrameWriter(io.Discard)
 	payload := make([]byte, 4096)
@@ -79,11 +134,30 @@ func TestFrameWriterSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	writeOne() // warm the scratch buffer
+	n := 0
+	writeCoalesced := func() {
+		var rate *RateNotification
+		if n%2 == 0 {
+			rate = &RateNotification{Index: n, Rate: float64(1e6 + n)}
+		}
+		if err := fw.writePicture(rate, n, mpeg.TypeP, payload, 1024); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.WriteChunk(payload[1024:]); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	// Warm the scratch buffer and the opening-write buffers.
+	writeOne()
+	writeCoalesced()
 	// Indexes repeat across runs; the reader end would reject that, but
 	// framing doesn't care and io.Discard has no reader end.
 	if allocs := testing.AllocsPerRun(200, writeOne); allocs != 0 {
 		t.Errorf("steady-state frame write allocates %.1f objects/frame, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, writeCoalesced); allocs != 0 {
+		t.Errorf("steady-state coalesced picture write allocates %.1f objects/frame, want 0", allocs)
 	}
 }
 

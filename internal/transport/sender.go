@@ -42,7 +42,8 @@ func (RealClock) Sleep(ctx context.Context, d time.Duration) error {
 type Sender struct {
 	// Chunk is the pacing granularity in bytes (default 1024): the sender
 	// writes at most Chunk bytes, then sleeps until the pacing deadline
-	// for the next chunk.
+	// for the next chunk. A picture costs ceil(size/Chunk) writes: its
+	// rate notification and header frame ride the first chunk's write.
 	Chunk int
 	// Clock defaults to RealClock.
 	Clock Clock
@@ -128,31 +129,32 @@ func (s *Sender) sendFrom(ctx context.Context, w *FrameWriter, decisions []core.
 		if err := clock.Sleep(ctx, deadline(d.Start).Sub(clock.Now())); err != nil {
 			return err
 		}
+		// The rate notification (when the rate changed), the header
+		// and the first chunk leave in one write; see writePicture.
+		var notify *RateNotification
 		if d.Rate != lastRate {
-			if err := w.WriteRate(RateNotification{Index: d.Picture, Rate: d.Rate}); err != nil {
-				return fmt.Errorf("transport: rate notification %d: %w", d.Picture, err)
-			}
-			lastRate = d.Rate
+			notify = &RateNotification{Index: d.Picture, Rate: d.Rate}
 		}
 		payload := payloads[i]
-		if err := w.WritePictureHeader(d.Picture, typeOf(d.Picture), payload); err != nil {
-			return fmt.Errorf("transport: picture header %d: %w", d.Picture, err)
+		sent := min(chunk, len(payload))
+		if err := w.writePicture(notify, d.Picture, typeOf(d.Picture), payload, sent); err != nil {
+			return fmt.Errorf("transport: picture %d: %w", d.Picture, err)
 		}
+		lastRate = d.Rate
 		// Pace the payload: after sending b bytes, the elapsed schedule
 		// time must be at least 8b/r_i.
-		sent := 0
-		for sent < len(payload) {
-			end := sent + chunk
-			if end > len(payload) {
-				end = len(payload)
+		for {
+			if err := clock.Sleep(ctx, deadline(d.Start+float64(sent)*8/d.Rate).Sub(clock.Now())); err != nil {
+				return err
 			}
+			if sent == len(payload) {
+				break
+			}
+			end := min(sent+chunk, len(payload))
 			if err := w.WriteChunk(payload[sent:end]); err != nil {
 				return fmt.Errorf("transport: picture %d payload: %w", d.Picture, err)
 			}
 			sent = end
-			if err := clock.Sleep(ctx, deadline(d.Start+float64(sent)*8/d.Rate).Sub(clock.Now())); err != nil {
-				return err
-			}
 		}
 	}
 	if err := w.WriteEnd(); err != nil {

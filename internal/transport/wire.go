@@ -63,7 +63,7 @@ func bodyLen(kind byte) (int, bool) {
 	case kindResume:
 		return 8, true
 	case kindRedirect:
-		return 10 + maxRedirectAddr, true
+		return maxBodyLen, true
 	case kindEnd:
 		return 0, true
 	}
@@ -74,6 +74,9 @@ func bodyLen(kind byte) (int, bool) {
 // the body is fixed-size (length prefix plus zero-padded address) like
 // every other kind.
 const maxRedirectAddr = 128
+
+// maxBodyLen is the largest fixed body of any kind, the redirect's.
+const maxBodyLen = 10 + maxRedirectAddr
 
 // MaxPictureBytes is the absolute wire-level bound on a picture payload;
 // no cap may exceed it, and a peer announcing more is malformed.
@@ -332,15 +335,19 @@ func (fw *FrameWriter) write(p []byte) error {
 	return err
 }
 
+// appendFrame appends the frame kind|seq|body|crc to buf.
+func appendFrame(buf []byte, kind byte, seq uint32, body []byte) []byte {
+	start := len(buf)
+	buf = append(buf, kind)
+	buf = binary.BigEndian.AppendUint32(buf, seq)
+	buf = append(buf, body...)
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+}
+
 // writeFrame emits kind|seq|body|crc and advances the sequence counter.
 func (fw *FrameWriter) writeFrame(kind byte, body []byte) error {
-	buf := fw.scratch[:0]
-	buf = append(buf, kind)
-	buf = binary.BigEndian.AppendUint32(buf, fw.seq)
-	buf = append(buf, body...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	fw.scratch = buf
-	if err := fw.write(buf); err != nil {
+	fw.scratch = appendFrame(fw.scratch[:0], kind, fw.seq, body)
+	if err := fw.write(fw.scratch); err != nil {
 		return err
 	}
 	fw.seq++
@@ -415,40 +422,97 @@ func (fw *FrameWriter) WriteRedirect(rd Redirect) error {
 
 // WriteRate writes a rate notification.
 func (fw *FrameWriter) WriteRate(n RateNotification) error {
+	body, err := rateBody(n)
+	if err != nil {
+		return err
+	}
+	return fw.writeFrame(kindRate, body[:])
+}
+
+// rateBody validates and encodes a rate notification's frame body.
+func rateBody(n RateNotification) (body [12]byte, err error) {
 	if n.Index < 0 || n.Index > math.MaxUint32 {
-		return fmt.Errorf("transport: picture index %d out of range", n.Index)
+		return body, fmt.Errorf("transport: picture index %d out of range", n.Index)
 	}
 	if n.Rate <= 0 || math.IsNaN(n.Rate) || math.IsInf(n.Rate, 0) {
-		return fmt.Errorf("transport: invalid rate %v", n.Rate)
+		return body, fmt.Errorf("transport: invalid rate %v", n.Rate)
 	}
-	var body [12]byte
 	binary.BigEndian.PutUint32(body[0:4], uint32(n.Index))
 	binary.BigEndian.PutUint64(body[4:12], math.Float64bits(n.Rate))
-	return fw.writeFrame(kindRate, body[:])
+	return body, nil
 }
 
 // WritePictureHeader writes the header frame of a picture, carrying the
 // payload's size and CRC32; the caller streams the payload bytes
 // (paced) immediately after via WriteChunk.
 func (fw *FrameWriter) WritePictureHeader(index int, t mpeg.PictureType, payload []byte) error {
+	body, err := fw.pictureBody(index, t, payload)
+	if err != nil {
+		return err
+	}
+	return fw.writeFrame(kindPicture, body[:])
+}
+
+// pictureBody validates and encodes a picture header's frame body.
+func (fw *FrameWriter) pictureBody(index int, t mpeg.PictureType, payload []byte) (body [13]byte, err error) {
 	if index < 0 || index > math.MaxUint32 {
-		return fmt.Errorf("transport: picture index %d out of range", index)
+		return body, fmt.Errorf("transport: picture index %d out of range", index)
 	}
 	if len(payload) == 0 || len(payload) > fw.maxPayload() {
-		return fmt.Errorf("transport: picture size %d out of range (cap %d)", len(payload), fw.maxPayload())
+		return body, fmt.Errorf("transport: picture size %d out of range (cap %d)", len(payload), fw.maxPayload())
 	}
-	var body [13]byte
 	binary.BigEndian.PutUint32(body[0:4], uint32(index))
 	body[4] = byte(t)
 	binary.BigEndian.PutUint32(body[5:9], uint32(len(payload)))
 	binary.BigEndian.PutUint32(body[9:13], crc32.ChecksumIEEE(payload))
-	return fw.writeFrame(kindPicture, body[:])
+	return body, nil
 }
 
 // WriteChunk writes raw payload bytes under the configured write
 // deadline; the pacing loop calls it once per chunk.
 func (fw *FrameWriter) WriteChunk(p []byte) error {
 	return fw.write(p)
+}
+
+// openingBufs holds the buffers writePicture assembles a picture's
+// opening write in. They are chunk-sized, so they are shared by every
+// FrameWriter in the process rather than grown once per connection.
+var openingBufs BufferPool
+
+// openingOverhead is the framing writePicture adds ahead of the first
+// chunk: a rate notification frame and a picture header frame.
+const openingOverhead = 2*(1+4+4) + 12 + 13
+
+// writePicture opens a picture in one write: the rate notification
+// (when rate is non-nil), the picture's header frame, and its first
+// chunk payload[:first]. The bytes are exactly those WriteRate,
+// WritePictureHeader and WriteChunk(payload[:first]) would write one
+// call each, so a receiver cannot tell the two apart; the saving is the
+// syscalls (and, over a datagram transport, the packets) of the two
+// small control frames. The remaining payload follows via WriteChunk.
+func (fw *FrameWriter) writePicture(rate *RateNotification, index int, t mpeg.PictureType, payload []byte, first int) error {
+	opening := openingBufs.Get(openingOverhead + first)
+	defer openingBufs.Put(opening)
+	buf, seq := opening[:0], fw.seq
+	if rate != nil {
+		body, err := rateBody(*rate)
+		if err != nil {
+			return err
+		}
+		buf = appendFrame(buf, kindRate, seq, body[:])
+		seq++
+	}
+	body, err := fw.pictureBody(index, t, payload)
+	if err != nil {
+		return err
+	}
+	buf = appendFrame(buf, kindPicture, seq, body[:])
+	buf = append(buf, payload[:first]...)
+	if err := fw.write(buf); err != nil {
+		return err
+	}
+	fw.seq = seq + 1
+	return nil
 }
 
 // WriteEnd writes the orderly end-of-stream marker.
@@ -475,15 +539,14 @@ type FrameReader struct {
 	// allocate-per-message behaviour, where every returned value and
 	// payload is caller-owned.
 	Pool *BufferPool
-	// scratch holds the frame body+crc between reads; bodies are fixed
-	// and small, and decode never retains body bytes (all fields are
-	// value copies), so one buffer serves the reader's whole session.
-	scratch []byte
-	// head is the frame-header read buffer. A local array would escape
-	// through the io.ReadFull interface call and cost one heap
-	// allocation per frame; as a field it rides the reader's own
-	// allocation.
+	// head and rest are the frame-header and body+crc read buffers.
+	// Bodies are fixed and small, and decode never retains body bytes
+	// (all fields are value copies), so one pair serves the reader's
+	// whole session. A local array would escape through the io.ReadFull
+	// interface call and cost one heap allocation per frame; as fields
+	// they ride the reader's own allocation.
 	head [5]byte
+	rest [maxBodyLen + 4]byte
 	pic  PictureFrame
 	rate RateNotification
 }
@@ -542,10 +605,7 @@ func (fr *FrameReader) ReadMessage() (any, error) {
 	if _, err := io.ReadFull(fr.r, head[1:]); err != nil {
 		return nil, fmt.Errorf("transport: short frame header: %w", err)
 	}
-	if cap(fr.scratch) < n+4 {
-		fr.scratch = make([]byte, n+4)
-	}
-	rest := fr.scratch[:n+4]
+	rest := fr.rest[:n+4]
 	if _, err := io.ReadFull(fr.r, rest); err != nil {
 		return nil, fmt.Errorf("transport: short frame body: %w", err)
 	}
