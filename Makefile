@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet bench benchtest muxbench ingestbench chaos datagram dgfuzz dgbench fadingsweep crash cluster replfuzz journal protocol results examples clean
+.PHONY: all build test test-race vet bench benchtest muxbench ingestbench chaos datagram dgfuzz dgbench fadingsweep crash cluster replfuzz journal protocol results examples loc clean
 
 all: build vet test test-race
 
@@ -127,12 +127,20 @@ ingestbench:
 		./internal/cluster/ -ingestbench-out $(CURDIR)/BENCH_ingest.json
 	@cat BENCH_ingest.json
 
+# Every program under examples/, run to completion.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/livepipe
 	$(GO) run ./examples/livesmoother
 	$(GO) run ./examples/multiplex
 	$(GO) run ./examples/encodepipeline
+
+# Production and test lines of Go outside smoothbench/ (the
+# benchmark's own module).
+GOFILES = find . \( -path ./smoothbench -o -path ./.git -o -path ./.bench_build \) -prune -o -name '*.go'
+loc:
+	@printf 'production %6d\n' $$($(GOFILES) ! -name '*_test.go' -print | xargs cat | wc -l)
+	@printf 'test       %6d\n' $$($(GOFILES) -name '*_test.go' -print | xargs cat | wc -l)
 
 clean:
 	rm -f test_output.txt bench_output.txt

@@ -13,8 +13,7 @@
 // previous rate; fewest changes), moving-average (track Eq. 15),
 // capped:<bps> (basic under a hard bits/s ceiling; unavoidable
 // delay-bound violations are reported, never silently exceeded), or
-// min-var (centre within the feasible band). The older -variant flag
-// survives as a deprecated alias for basic/moving.
+// min-var (centre within the feasible band).
 package main
 
 import (
@@ -35,20 +34,19 @@ func main() {
 		k        = flag.Int("K", 1, "pictures with known sizes before sending (Theorem 1 needs K >= 1)")
 		h        = flag.Int("H", 0, "lookahead interval in pictures (0 = pattern length N)")
 		d        = flag.Float64("D", 0.2, "delay bound in seconds")
-		policy   = flag.String("policy", "", "rate selection: basic | moving-average | capped:<bps> | min-var")
-		variant  = flag.String("variant", "basic", "deprecated alias of -policy: basic or moving")
+		policy   = flag.String("policy", "basic", "rate selection: basic | moving-average | capped:<bps> | min-var")
 		schedule = flag.Bool("schedule", false, "print the full per-picture schedule")
 		compare  = flag.Bool("compare", false, "also run ideal smoothing and the offline optimum")
 		out      = flag.String("o", "", "write the schedule as CSV to this file")
 	)
 	flag.Parse()
-	if err := run(*in, *seq, *pictures, *seed, *k, *h, *d, *variant, *policy, *schedule, *compare, *out); err != nil {
+	if err := run(*in, *seq, *pictures, *seed, *k, *h, *d, *policy, *schedule, *compare, *out); err != nil {
 		fmt.Fprintf(os.Stderr, "smooth: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, seq string, pictures int, seed int64, k, h int, d float64, variant, policy string, schedule, compare bool, out string) error {
+func run(in, seq string, pictures int, seed int64, k, h int, d float64, policy string, schedule, compare bool, out string) error {
 	tr, err := loadTrace(in, seq, pictures, seed)
 	if err != nil {
 		return err
@@ -56,23 +54,11 @@ func run(in, seq string, pictures int, seed int64, k, h int, d float64, variant,
 	if h == 0 {
 		h = tr.GOP.N
 	}
-	cfg := mpegsmooth.Config{K: k, H: h, D: d}
-	if policy == "" {
-		// Deprecated -variant alias.
-		switch strings.ToLower(variant) {
-		case "basic":
-			policy = "basic"
-		case "moving", "moving-average":
-			policy = "moving-average"
-		default:
-			return fmt.Errorf("unknown variant %q", variant)
-		}
-	}
 	p, err := mpegsmooth.ParsePolicy(policy)
 	if err != nil {
 		return err
 	}
-	cfg.Policy = p
+	cfg := mpegsmooth.Config{K: k, H: h, D: d, Policy: p}
 
 	stats := mpegsmooth.NewDecisionStats()
 	s, err := mpegsmooth.SmoothObserved(tr, cfg, func(o mpegsmooth.Observation) {

@@ -1,7 +1,7 @@
 // Livesmoother: embed the algorithm in a streaming pipeline.
 //
-// A live encoder produces picture sizes one at a time; the incremental
-// LiveSmoother emits each rate decision the moment its inputs are
+// A live encoder produces picture sizes one at a time; an incremental
+// Session emits each rate decision the moment its inputs are
 // determined (with K=1, essentially one picture behind the encoder). The
 // decisions stream through a token-bucket policer — the network checking
 // that we honour our own notify(i, rate) declarations — and the final
@@ -26,7 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	live, err := mpegsmooth.NewLiveSmoother(tau, gop, mpegsmooth.Config{K: 1, H: gop.N, D: 0.2})
+	live, err := mpegsmooth.NewSession(tau, gop, mpegsmooth.Config{K: 1, H: gop.N, D: 0.2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func TestPipelineCodecToTransport(t *testing.T) {
 	}
 
 	// Live smoothing, picture by picture.
-	live, err := NewLiveSmoother(1.0/30, gop, Config{K: 1, H: gop.N, D: 0.2})
+	live, err := NewSession(1.0/30, gop, Config{K: 1, H: gop.N, D: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 // and returns the resulting schedule. The algorithm is online: at each
 // picture it sees only the sizes of pictures that have arrived by t_i and
 // estimates the rest through cfg.Estimator. Smooth is "new Session, push
-// all, close": it drives the same Session kernel as LiveSmoother and the
-// transport, so every driver produces identical schedules.
+// all, close": it drives the same Session kernel as live smoothing and
+// the transport, so every driver produces identical schedules.
 func Smooth(tr *trace.Trace, cfg Config) (*Schedule, error) {
 	return SmoothObserved(tr, cfg, nil)
 }

@@ -142,7 +142,7 @@ func TestTheorem1OnPaperTrace(t *testing.T) {
 		{K: 1, H: 1, D: 0.0667},
 		{K: 9, H: 9, D: 0.1333 + 10.0/30},
 		{K: 2, H: 18, D: 0.15},
-		{K: 1, H: 9, D: 0.2, Variant: MovingAverage},
+		{K: 1, H: 9, D: 0.2, Policy: MovingAveragePolicy{}},
 	} {
 		s, err := Smooth(tr, cfg)
 		if err != nil {
@@ -254,9 +254,9 @@ func TestMovingAverageTracksIdealMoreClosely(t *testing.T) {
 	// ideal smoothing more closely ... In particular, the area difference
 	// is smaller."
 	tr := paperTrace(t, 270)
-	cfgB := Config{K: 1, H: tr.GOP.N, D: 0.2, Variant: Basic}
+	cfgB := Config{K: 1, H: tr.GOP.N, D: 0.2, Policy: BasicPolicy{}}
 	cfgM := cfgB
-	cfgM.Variant = MovingAverage
+	cfgM.Policy = MovingAveragePolicy{}
 	mb := measuresFor(t, tr, cfgB)
 	mm := measuresFor(t, tr, cfgM)
 	if mm.AreaDiff >= mb.AreaDiff {
@@ -530,11 +530,5 @@ func TestSmoothScalesToLongTraces(t *testing.T) {
 	}
 	if v := s.CheckContinuousService(); v != -1 {
 		t.Fatalf("continuous service violated at %d", v)
-	}
-}
-
-func TestVariantString(t *testing.T) {
-	if Basic.String() != "basic" || MovingAverage.String() != "moving-average" {
-		t.Error("variant names wrong")
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // engine is the decision kernel shared by every driver (the offline
-// Smooth, Session, and the LiveSmoother wrapper): one call of decide
+// Smooth and the incremental Session): one call of decide
 // corresponds to one pass of the outer loop in the paper's Figure 2
 // specification. The kernel owns the Theorem 1 bound accumulation
 // (Eqs. 12–13); rate selection within (or, for CappedRate, against) the

@@ -12,7 +12,7 @@ import (
 //
 // A View holds the prefix of picture sizes the system has learned so far
 // — the whole trace for offline smoothing, the pushed prefix for a
-// LiveSmoother — plus the observation time that decides which of those
+// live Session — plus the observation time that decides which of those
 // count as "arrived".
 type View struct {
 	tau   float64

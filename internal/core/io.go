@@ -11,8 +11,8 @@ import (
 // cmd/smooth emits for external plotting.
 func (s *Schedule) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# name=%s K=%d H=%d D=%.9f variant=%s\n",
-		s.Trace.Name, s.Config.K, s.Config.H, s.Config.D, s.Config.Variant); err != nil {
+	if _, err := fmt.Fprintf(bw, "# name=%s K=%d H=%d D=%.9f policy=%s\n",
+		s.Trace.Name, s.Config.K, s.Config.H, s.Config.D, s.Config.policy().Name()); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintln(bw, "picture,type,bits,rate_bps,start_s,depart_s,delay_s,lower_bound_bps,upper_bound_bps"); err != nil {

@@ -8,11 +8,11 @@ import (
 	"mpegsmooth/internal/mpeg"
 )
 
-// collectLive pushes a whole trace through a LiveSmoother and gathers all
+// collectLive pushes a whole trace through a Session and gathers all
 // decisions.
 func collectLive(t testing.TB, tau float64, gop mpeg.GOP, cfg Config, sizes []int64) []Decision {
 	t.Helper()
-	ls, err := NewLiveSmoother(tau, gop, cfg)
+	ls, err := NewSession(tau, gop, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestLiveMatchesOffline(t *testing.T) {
 		{K: 3, H: 18, D: 0.25},
 		{K: 9, H: 9, D: 0.1333 + 10.0/30},
 		{K: 1, H: 1, D: 0.0667},
-		{K: 1, H: 9, D: 0.2, Variant: MovingAverage},
+		{K: 1, H: 9, D: 0.2, Policy: MovingAveragePolicy{}},
 		{K: 1, H: 9, D: 0.2, Estimator: TypeMeanEstimator{}},
 	} {
 		offline, err := Smooth(tr, cfg)
@@ -74,7 +74,7 @@ func TestLiveMatchesOfflineProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ls, err := NewLiveSmoother(tr.Tau, tr.GOP, cfg)
+		ls, err := NewSession(tr.Tau, tr.GOP, cfg)
 		if err != nil {
 			return false
 		}
@@ -110,7 +110,7 @@ func TestLiveEmitsEagerly(t *testing.T) {
 	// shortly after picture j (plus whatever the view horizon needs) —
 	// NOT only at Close.
 	gop := mpeg.GOP{M: 3, N: 9}
-	ls, err := NewLiveSmoother(1.0/30, gop, Config{K: 1, H: 1, D: 0.2})
+	ls, err := NewSession(1.0/30, gop, Config{K: 1, H: 1, D: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,16 +133,16 @@ func TestLiveEmitsEagerly(t *testing.T) {
 
 func TestLiveValidation(t *testing.T) {
 	gop := mpeg.GOP{M: 3, N: 9}
-	if _, err := NewLiveSmoother(0, gop, Config{K: 1, H: 9, D: 0.2}); err == nil {
+	if _, err := NewSession(0, gop, Config{K: 1, H: 9, D: 0.2}); err == nil {
 		t.Error("zero tau should fail")
 	}
-	if _, err := NewLiveSmoother(1.0/30, mpeg.GOP{M: 3, N: 10}, Config{K: 1, H: 9, D: 0.2}); err == nil {
+	if _, err := NewSession(1.0/30, mpeg.GOP{M: 3, N: 10}, Config{K: 1, H: 9, D: 0.2}); err == nil {
 		t.Error("bad GOP should fail")
 	}
-	if _, err := NewLiveSmoother(1.0/30, gop, Config{K: 1, H: 0, D: 0.2}); err == nil {
+	if _, err := NewSession(1.0/30, gop, Config{K: 1, H: 0, D: 0.2}); err == nil {
 		t.Error("bad config should fail")
 	}
-	ls, err := NewLiveSmoother(1.0/30, gop, Config{K: 1, H: 9, D: 0.2})
+	ls, err := NewSession(1.0/30, gop, Config{K: 1, H: 9, D: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestLiveValidation(t *testing.T) {
 
 func TestLiveAccessors(t *testing.T) {
 	gop := mpeg.GOP{M: 3, N: 9}
-	ls, err := NewLiveSmoother(1.0/30, gop, Config{K: 1, H: 9, D: 0.5})
+	ls, err := NewSession(1.0/30, gop, Config{K: 1, H: 9, D: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func BenchmarkLivePush(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ls, err := NewLiveSmoother(tr.Tau, gop, Config{K: 1, H: 9, D: 0.2})
+		ls, err := NewSession(tr.Tau, gop, Config{K: 1, H: 9, D: 0.2})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -34,37 +34,6 @@ import (
 	"mpegsmooth/internal/trace"
 )
 
-// Variant selects the rate-selection rule on normal lookahead exit
-// (Section 4.4).
-//
-// Deprecated: Variant survives as an alias onto the Policy interface
-// (Basic maps to BasicPolicy, MovingAverage to MovingAveragePolicy).
-// New code should set Config.Policy instead, which also admits
-// CappedRate and MinimumVariability.
-type Variant int
-
-const (
-	// Basic holds the previous rate unless it falls outside the
-	// accumulated [lower, upper] bounds — the rule designed to minimize
-	// the number of rate changes.
-	Basic Variant = iota
-	// MovingAverage proposes sum/(Nτ) (Eq. 15) instead: more small rate
-	// changes, but r(t) tracks ideal smoothing more closely (smaller
-	// area difference).
-	MovingAverage
-)
-
-// String names the variant.
-func (v Variant) String() string {
-	switch v {
-	case Basic:
-		return "basic"
-	case MovingAverage:
-		return "moving-average"
-	}
-	return fmt.Sprintf("Variant(%d)", int(v))
-}
-
 // Config parameterizes a smoothing run.
 type Config struct {
 	// K is the required number of complete pictures buffered before the
@@ -81,13 +50,8 @@ type Config struct {
 	// form that lets one Config serve a batch of traces with different
 	// patterns.
 	H int
-	// Variant selects Basic or MovingAverage rate selection.
-	//
-	// Deprecated: use Policy. Variant is consulted only when Policy is
-	// nil, as a backwards-compatible alias.
-	Variant Variant
 	// Policy owns rate selection within the accumulated Theorem 1 band.
-	// nil means the policy implied by Variant (BasicPolicy by default).
+	// nil means BasicPolicy.
 	Policy Policy
 	// Estimator supplies sizes for pictures that have not arrived.
 	// Defaults to PatternEstimator with the paper's initial estimates.

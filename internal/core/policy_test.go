@@ -29,45 +29,31 @@ func scheduleFingerprint(s *Schedule) uint64 {
 	return h.Sum64()
 }
 
-// TestPolicyGoldenSchedules pins the policy-refactored Basic and
-// MovingAverage schedules to fingerprints captured from the seed
+// TestPolicyGoldenSchedules pins the BasicPolicy and
+// MovingAveragePolicy schedules to fingerprints captured from the seed
 // (pre-Policy) decision kernel on all four paper sequences (108
 // pictures, seed 1, K=1, H=N, D=0.2). Any drift means the refactor
 // changed kernel arithmetic, not just its structure.
 func TestPolicyGoldenSchedules(t *testing.T) {
-	golden := map[string]map[Variant]uint64{
-		"Driving1": {Basic: 0xc7a82ecae498361, MovingAverage: 0x895365b70d6924ac},
-		"Driving2": {Basic: 0xa00c87213996aa85, MovingAverage: 0xc2bedcf6ab4529f4},
-		"Tennis":   {Basic: 0xdc4a7c6db4d03ef0, MovingAverage: 0x624cfd70d0f092ba},
-		"Backyard": {Basic: 0xe75eecf6bbe5cab8, MovingAverage: 0x2d758bc7c168e727},
+	golden := map[string]map[string]uint64{
+		"Driving1": {"basic": 0xc7a82ecae498361, "moving-average": 0x895365b70d6924ac},
+		"Driving2": {"basic": 0xa00c87213996aa85, "moving-average": 0xc2bedcf6ab4529f4},
+		"Tennis":   {"basic": 0xdc4a7c6db4d03ef0, "moving-average": 0x624cfd70d0f092ba},
+		"Backyard": {"basic": 0xe75eecf6bbe5cab8, "moving-average": 0x2d758bc7c168e727},
 	}
 	seqs, err := trace.PaperSequences(108, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tr := range seqs {
-		for _, v := range []Variant{Basic, MovingAverage} {
-			cfg := Config{K: 1, H: tr.GOP.N, D: 0.2, Variant: v}
-			s, err := Smooth(tr, cfg)
+		for _, p := range []Policy{BasicPolicy{}, MovingAveragePolicy{}} {
+			s, err := Smooth(tr, Config{K: 1, H: tr.GOP.N, D: 0.2, Policy: p})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := scheduleFingerprint(s), golden[tr.Name][v]; got != want {
+			if got, want := scheduleFingerprint(s), golden[tr.Name][p.Name()]; got != want {
 				t.Errorf("%s %s: schedule fingerprint %#x, want seed %#x (kernel arithmetic changed)",
-					tr.Name, v, got, want)
-			}
-			// The explicit-Policy path must be the deprecated-Variant
-			// path, bit for bit.
-			var p Policy = BasicPolicy{}
-			if v == MovingAverage {
-				p = MovingAveragePolicy{}
-			}
-			sp, err := Smooth(tr, Config{K: 1, H: tr.GOP.N, D: 0.2, Policy: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if scheduleFingerprint(sp) != scheduleFingerprint(s) {
-				t.Errorf("%s: Policy %s differs from deprecated Variant alias", tr.Name, p.Name())
+					tr.Name, p.Name(), got, want)
 			}
 		}
 	}

@@ -40,7 +40,7 @@ func randomConfig(rng *rand.Rand, tr *trace.Trace) Config {
 		D: float64(k+1)*tr.Tau + slack,
 	}
 	if rng.Intn(2) == 1 {
-		cfg.Variant = MovingAverage
+		cfg.Policy = MovingAveragePolicy{}
 	}
 	switch rng.Intn(4) {
 	case 0:

@@ -277,7 +277,7 @@ func ExtI(pictures int, seed int64) ([]AlgoRow, error) {
 	if err := addSchedule("basic K=1 D=0.2", basic); err != nil {
 		return nil, err
 	}
-	moving, err := core.Smooth(tr, core.Config{K: 1, H: tr.GOP.N, D: 0.2, Variant: core.MovingAverage})
+	moving, err := core.Smooth(tr, core.Config{K: 1, H: tr.GOP.N, D: 0.2, Policy: core.MovingAveragePolicy{}})
 	if err != nil {
 		return nil, err
 	}

@@ -649,3 +649,74 @@ func runCrashSoak(t *testing.T, seed int64) {
 		t.Errorf("%d streams still journaled after every client finished — durable reservation leak", n)
 	}
 }
+
+// TestCrashRecoveredStreamResumesAfterStall: a journal-recovered stream
+// resumes, then its connection goes half-open (stalled, never closed).
+// The sender's next resume must be served within its busy-retry budget
+// (about 5 s at the default backoff), not after the 30 s read timeout:
+// the first attempt closes the stalled connection so the stream parks,
+// and a retry resumes it at the recovered watermark.
+func TestCrashRecoveredStreamResumesAfterStall(t *testing.T) {
+	kit := makeClient(t, testTrace(t, 27))
+	dir := t.TempDir()
+	cfg := Config{LinkRate: 4 * kit.hello.PeakRate, ReadTimeout: 30 * time.Second, ResumeWindow: 20 * time.Second}
+	gen1, addr := startGeneration(t, cfg, dir, "")
+	kit.hello.Nonce = 0x57A11
+	conn, _, v := kit.handshake(t, addr)
+	defer conn.Close()
+	if !v.IsAdmitted() || v.ResumeToken == 0 {
+		t.Fatalf("admission verdict %+v", v)
+	}
+	gen1.kill(t)
+
+	gen2, _ := startGeneration(t, cfg, dir, addr)
+	defer gen2.kill(t)
+	waitFor(t, "recovered stream parked", func() bool {
+		return gen2.srv.Snapshot().Streams.Parked == 1
+	})
+	resume := func() transport.Verdict {
+		t.Helper()
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if err := transport.NewFrameWriter(c).WriteResume(transport.StreamResume{Token: v.ResumeToken}); err != nil {
+			t.Fatal(err)
+		}
+		rv, err := transport.NewFrameReader(c).ReadVerdictTimeout(10 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rv
+	}
+	// The first resume is adopted; its connection then stalls.
+	if rv := resume(); !rv.IsAdmitted() || rv.NextIndex != 0 {
+		t.Fatalf("first resume: %+v", rv)
+	}
+	waitFor(t, "resumed connection adopted", func() bool {
+		return gen2.srv.Snapshot().Streams.Parked == 0
+	})
+
+	start := time.Now()
+	const budget = 3 * time.Second
+	for {
+		rv := resume()
+		if rv.IsAdmitted() {
+			if rv.ResumeToken != v.ResumeToken || rv.NextIndex != 0 {
+				t.Fatalf("second resume: %+v", rv)
+			}
+			break
+		}
+		if rv.Code != transport.RejectedBusy {
+			t.Fatalf("second resume: %+v, want admitted or busy", rv)
+		}
+		if time.Since(start) > budget {
+			t.Fatalf("stalled connection still held the stream after %v", budget)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if got := gen2.srv.Snapshot().Streams.Admitted; got != 0 {
+		t.Errorf("admitted %d, want 0: the recovered stream holds the only reservation", got)
+	}
+}

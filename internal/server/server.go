@@ -38,6 +38,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,10 +112,10 @@ type Config struct {
 	// Journal, when set, is the crash-safety write-ahead log: stream
 	// admissions, accept watermarks, completions, and expiries are
 	// recorded (fsynced before any verdict or ack a sender may act on),
-	// and New replays the journal's recovered state into the nonce
-	// ledger, admission reservations, parked-stream table, and
-	// tombstone map — so a sender redialing after a server crash gets a
-	// correct resume or AlreadyComplete verdict instead of a rejection.
+	// and New replays the journal's recovered state into the session
+	// table and admission reservations — so a sender redialing after a
+	// server crash gets a correct resume or AlreadyComplete verdict
+	// instead of a rejection.
 	// The server owns the journal from here: it is closed by Shutdown
 	// and abandoned by Kill.
 	Journal *journal.Journal
@@ -203,19 +204,10 @@ type Server struct {
 	mu        sync.Mutex
 	admission *netsim.Admission
 	streams   map[uint64]*stream
-	resumable map[uint64]*stream // resume token → parked-capable stream
+	sessions  sessionTable // nonce, token and tombstone index (sessions.go)
 	nextID    uint64
 	ln        net.Listener
 	closed    bool
-
-	// nonces and tombstones are lock-sharded (see ledger.go) so
-	// duplicate-hello probes and late-resume lookups in a saturated soak
-	// do not serialize on the admission mutex. The nonce ledger routes a
-	// redialing sender to its live stream; the tombstone ledger answers
-	// a resume after a lost completion ack with a precise
-	// AlreadyComplete verdict instead of an unknown-token rejection.
-	nonces     *nonceLedger
-	tombstones *tombLedger
 
 	// journal is cfg.Journal (nil disables durability); the recovered
 	// counters report what the journal replay rebuilt at startup.
@@ -245,10 +237,6 @@ type Server struct {
 
 // finishedKeep bounds the retained per-stream history.
 const finishedKeep = 256
-
-// tombstoneKeep is the completion-tombstone ledger's capacity floor;
-// the adaptive sizer grows it with the observed completion rate.
-const tombstoneKeep = 4096
 
 // tombstone records a completed stream's final state: enough to answer
 // a late resume (the sender's copy of the completion ack was lost) with
@@ -292,9 +280,7 @@ func New(cfg Config) (*Server, error) {
 		cancel:        cancel,
 		admission:     adm,
 		streams:       map[uint64]*stream{},
-		resumable:     map[uint64]*stream{},
-		nonces:        newNonceLedger(),
-		tombstones:    newTombLedger(),
+		sessions:      newSessionTable(),
 		worstHeadroom: math.Inf(1),
 	}
 	s.egress = newLink(s.cfg.Egress, s.cfg.WriteTimeout)
@@ -431,7 +417,7 @@ func (s *Server) SeverConns() {
 }
 
 // recoverFromJournal replays the journal's recovered state into the
-// server's ledgers: live streams come back parked (session rebuilt at
+// session table: live streams come back parked (session rebuilt at
 // the journaled watermark, prefix hash restored, reservation
 // rehydrated) with a goroutine waiting out the resume window; unexpired
 // tombstones come back answerable. Records that no longer fit this
@@ -482,11 +468,8 @@ func (s *Server) recoverFromJournal() {
 		s.nextID++
 		st.id = s.nextID
 		s.streams[st.id] = st
-		s.resumable[token] = st
-		if rec.Hello.Nonce != 0 {
-			s.nonces.put(rec.Hello.Nonce, st)
-		}
-		s.admission.Rehydrate(rec.Hello.Nonce, rec.Hello.PeakRate, now, s.nonceTTL())
+		s.sessions.add(st)
+		s.admission.Rehydrate(rec.Hello.PeakRate)
 		s.recoveredStreams++
 		s.mu.Unlock()
 		s.cfg.Logf("smoothd: recovered stream %d (token %016x) parked at picture %d awaiting resume",
@@ -499,20 +482,26 @@ func (s *Server) recoverFromJournal() {
 			st.closeConn()
 		}(st)
 	}
+	// Entomb in expiry order, so each tombstone lands at the FIFO's tail.
+	tombs := make([]*journal.TombstoneRecord, 0, len(state.Tombstones))
 	for token, tb := range state.Tombstones {
 		if now.After(tb.Expires) || len(tb.HashState) < 8 {
 			expire(token, tb.Nonce, journal.ExpireTombstone, "tombstone (expired)")
 			continue
 		}
-		s.tombstones.put(token, tombstone{
+		tombs = append(tombs, tb)
+	}
+	slices.SortFunc(tombs, func(a, b *journal.TombstoneRecord) int { return a.Expires.Compare(b.Expires) })
+	s.mu.Lock()
+	for _, tb := range tombs {
+		s.sessions.entomb(tb.Token, tombstone{
 			fnv:      binary.BigEndian.Uint64(tb.HashState),
 			pictures: tb.Pictures,
 			expires:  tb.Expires,
-		}, s.tombstoneTTL())
-		s.mu.Lock()
-		s.recoveredTombstones++
-		s.mu.Unlock()
+		}, now)
 	}
+	s.recoveredTombstones += int64(len(tombs))
+	s.mu.Unlock()
 }
 
 // journalWatermark coalesces the stream's accept watermark and prefix
@@ -621,23 +610,12 @@ func (s *Server) handleHello(conn net.Conn, fr *transport.FrameReader, fw *trans
 	if hello.Nonce != 0 && s.redirectIfRemote(conn, fw, hello.Nonce) {
 		return
 	}
-	if hello.Nonce != 0 {
-		prior := s.nonces.get(hello.Nonce)
-		if prior != nil {
-			if prior.hello != *hello {
-				s.rejectConn(conn, fw, transport.RejectedMalformed,
-					fmt.Errorf("server: hello nonce %016x reused with different parameters", hello.Nonce))
-				return
-			}
-			s.mu.Lock()
-			s.helloDeduped++
-			s.mu.Unlock()
-			s.cfg.Logf("smoothd: stream %d hello deduplicated by nonce from %s", prior.id, conn.RemoteAddr())
-			s.reattach(conn, fr, fw, prior, prior.token)
-			return
-		}
+	st, prior, verdict, err := s.admit(conn, fr, fw, hello)
+	if prior != nil {
+		s.cfg.Logf("smoothd: stream %d hello deduplicated by nonce from %s", prior.id, conn.RemoteAddr())
+		s.reattach(conn, fr, fw, prior, prior.token)
+		return
 	}
-	st, verdict, err := s.admit(conn, fr, fw, hello)
 	if werr := fw.WriteVerdict(verdict); werr != nil && err == nil {
 		err = werr
 	}
@@ -646,6 +624,9 @@ func (s *Server) handleHello(conn net.Conn, fr *transport.FrameReader, fw *trans
 		s.cfg.Logf("smoothd: %s %s: %v", conn.RemoteAddr(), verdict.Code, err)
 		return
 	}
+	st.mu.Lock()
+	st.verdictDue = false
+	st.mu.Unlock()
 	err = s.run(st, err)
 	s.finish(st, err)
 	st.closeConn()
@@ -660,19 +641,18 @@ func (s *Server) handleResume(conn net.Conn, fr *transport.FrameReader, fw *tran
 		return
 	}
 	s.mu.Lock()
-	st := s.resumable[m.Token]
-	closed := s.closed
-	avail := s.admission.Available()
-	s.mu.Unlock()
+	st := s.sessions.byToken[m.Token]
 	var tomb tombstone
 	entombed := false
 	if st == nil {
-		tomb, entombed = s.tombstones.lookup(m.Token)
+		if tomb, entombed = s.sessions.tomb(m.Token, time.Now()); entombed {
+			s.alreadyComplete++
+		}
 	}
+	closed := s.closed
+	avail := s.admission.Available()
+	s.mu.Unlock()
 	if entombed {
-		s.mu.Lock()
-		s.alreadyComplete++
-		s.mu.Unlock()
 		fw.WriteVerdict(transport.Verdict{
 			Code: transport.AlreadyComplete, Available: avail,
 			ResumeToken: m.Token, NextIndex: tomb.pictures, PrefixFNV: tomb.fnv,
@@ -705,8 +685,12 @@ func (s *Server) reattach(conn net.Conn, fr *transport.FrameReader, fw *transpor
 		// The stream has not parked yet — most likely its ingest loop is
 		// still blocked on the dead connection. Close that connection to
 		// expedite fault detection; the sender's backoff retry will find
-		// the stream parked.
-		old := st.conn
+		// the stream parked. A connection still carrying the admission
+		// verdict stays open: closing it would fail the admission.
+		var old net.Conn
+		if !st.verdictDue {
+			old = st.conn
+		}
 		st.mu.Unlock()
 		if old != nil {
 			old.Close()
@@ -747,10 +731,12 @@ func (s *Server) reattach(conn net.Conn, fr *transport.FrameReader, fw *transpor
 	s.cfg.Logf("smoothd: stream %d resumed from %s at picture %d", st.id, conn.RemoteAddr(), next)
 }
 
-// admit validates the hello and takes the admission decision. A nil
-// stream means the connection ends after the verdict.
-func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.FrameWriter, hello *transport.StreamHello) (*stream, transport.Verdict, error) {
-	reject := func(code transport.VerdictCode, err error) (*stream, transport.Verdict, error) {
+// admit validates the hello and takes the admission decision. It
+// returns the admitted stream, or else the live stream (prior) whose
+// nonce the hello repeats, with nothing reserved; when both are nil the
+// connection ends after the verdict.
+func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.FrameWriter, hello *transport.StreamHello) (*stream, *stream, transport.Verdict, error) {
+	reject := func(code transport.VerdictCode, err error) (*stream, *stream, transport.Verdict, error) {
 		s.mu.Lock()
 		switch code {
 		case transport.RejectedMalformed:
@@ -760,7 +746,7 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		}
 		avail := s.admission.Available()
 		s.mu.Unlock()
-		return nil, transport.Verdict{Code: code, Available: avail, Epoch: s.cfg.Epoch}, err
+		return nil, nil, transport.Verdict{Code: code, Available: avail, Epoch: s.cfg.Epoch}, err
 	}
 
 	if hello.Integrity != s.cfg.Integrity {
@@ -785,38 +771,40 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		return reject(transport.RejectedMalformed, err)
 	}
 	st.sess = sess
+	// Set before the stream is published: a reattach racing this
+	// admission must not close the connection that carries its verdict.
+	st.verdictDue = true
 
+	// The nonce check and the reservation share one critical section,
+	// so concurrent copies of one hello can never reserve twice.
 	s.mu.Lock()
+	if prior := s.sessions.byNonce[hello.Nonce]; prior != nil {
+		if prior.hello != *hello {
+			s.mu.Unlock()
+			return reject(transport.RejectedMalformed,
+				fmt.Errorf("server: hello nonce %016x reused with different parameters", hello.Nonce))
+		}
+		s.helloDeduped++
+		s.mu.Unlock()
+		return nil, prior, transport.Verdict{}, nil
+	}
 	if s.closed || (s.cfg.MaxStreams > 0 && int64(s.cfg.MaxStreams) <= s.admission.Active()) {
 		s.mu.Unlock()
 		return reject(transport.RejectedBusy, errors.New("server: at stream limit or shutting down"))
 	}
-	admitted, duplicate := s.admission.AdmitNonce(hello.Nonce, hello.PeakRate, time.Now(), s.nonceTTL())
-	if duplicate {
-		// Backstop for a duplicate hello that raced past handleHello's
-		// nonce-map check: never reserve twice. Busy sends the sender
-		// back around; its retry finds the registered nonce and
-		// reattaches.
-		s.mu.Unlock()
-		return reject(transport.RejectedBusy,
-			fmt.Errorf("server: hello nonce %016x already holds a reservation", hello.Nonce))
-	}
-	if !admitted {
+	if !s.admission.Admit(hello.PeakRate) {
 		avail := s.admission.Available()
 		s.mu.Unlock()
-		return nil, transport.Verdict{Code: transport.RejectedCapacity, Available: avail, Epoch: s.cfg.Epoch},
+		return nil, nil, transport.Verdict{Code: transport.RejectedCapacity, Available: avail, Epoch: s.cfg.Epoch},
 			fmt.Errorf("server: peak %.0f bps exceeds available %.0f bps", hello.PeakRate, avail)
 	}
 	s.nextID++
 	st.id = s.nextID
 	s.streams[st.id] = st
-	if hello.Nonce != 0 {
-		s.nonces.put(hello.Nonce, st)
-	}
 	if s.cfg.ResumeWindow > 0 {
 		st.token = s.newTokenLocked()
-		s.resumable[st.token] = st
 	}
+	s.sessions.add(st)
 	avail := s.admission.Available()
 	s.mu.Unlock()
 	if s.journal != nil && st.token != 0 {
@@ -824,18 +812,15 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		// a sender acting on an admission the journal forgot would be
 		// rejected as unknown after a crash. The fsync runs outside s.mu
 		// so concurrent admissions serialize only on the journal.
-		rollback := func(cause error) (*stream, transport.Verdict, error) {
+		rollback := func(cause error) (*stream, *stream, transport.Verdict, error) {
 			s.mu.Lock()
-			s.admission.ReleaseNonce(hello.Nonce, hello.PeakRate)
+			s.admission.Release(hello.PeakRate)
 			delete(s.streams, st.id)
-			if hello.Nonce != 0 {
-				s.nonces.del(hello.Nonce)
-			}
-			delete(s.resumable, st.token)
+			s.sessions.drop(st)
 			s.rejectedBusy++
 			avail = s.admission.Available()
 			s.mu.Unlock()
-			return nil, transport.Verdict{Code: transport.RejectedBusy, Available: avail, Epoch: s.cfg.Epoch}, cause
+			return nil, nil, transport.Verdict{Code: transport.RejectedBusy, Available: avail, Epoch: s.cfg.Epoch}, cause
 		}
 		seq, jerr := s.journal.Admitted(journal.StreamRecord{Token: st.token, Hello: *hello})
 		if jerr != nil {
@@ -858,20 +843,10 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		}
 	}
 	_, prefix := st.resumePoint() // empty hash: nothing accepted yet
-	return st, transport.Verdict{
+	return st, nil, transport.Verdict{
 		Code: transport.Admitted, Available: avail, ResumeToken: st.token, PrefixFNV: prefix,
 		Epoch: s.cfg.Epoch,
 	}, nil
-}
-
-// nonceTTL bounds a nonce's life in the admission ledger. finish always
-// releases, so the TTL is a leak backstop only — generous, so long
-// streams keep their duplicate-hello protection for their whole life.
-func (s *Server) nonceTTL() time.Duration {
-	if ttl := 4 * s.cfg.ResumeWindow; ttl > 10*time.Minute {
-		return ttl
-	}
-	return 10 * time.Minute
 }
 
 // tombstoneTTL bounds how long a completed stream answers late resumes
@@ -899,7 +874,7 @@ func (s *Server) newTokenLocked() uint64 {
 		if tok == 0 {
 			continue
 		}
-		if _, taken := s.resumable[tok]; taken {
+		if _, taken := s.sessions.byToken[tok]; taken {
 			continue
 		}
 		// Rejection-sample until the token hashes to this shard on the
@@ -935,24 +910,19 @@ func (s *Server) run(st *stream, admitErr error) error {
 func (s *Server) finish(st *stream, err error) {
 	ss := st.snapshot()
 	s.mu.Lock()
-	s.admission.ReleaseNonce(st.hello.Nonce, st.hello.PeakRate)
+	s.admission.Release(st.hello.PeakRate)
 	delete(s.streams, st.id)
-	if st.hello.Nonce != 0 {
-		s.nonces.del(st.hello.Nonce)
-	}
-	if st.token != 0 {
-		delete(s.resumable, st.token)
-		if err == nil {
-			// Tombstone the completed stream before s.mu is released: a
-			// resume that finds the token gone from s.resumable
-			// serialized after this critical section, so it always finds
-			// either the live stream or the tombstone, never a gap.
-			ttl := s.tombstoneTTL()
-			s.tombstones.put(st.token, tombstone{
-				fnv: ss.PayloadFNV, pictures: ss.Pictures,
-				expires: time.Now().Add(ttl),
-			}, ttl)
-		}
+	s.sessions.drop(st)
+	if st.token != 0 && err == nil {
+		// Tombstone the completed stream before s.mu is released: a
+		// resume that finds the token gone from byToken serialized after
+		// this critical section, so it always finds either the live
+		// stream or the tombstone, never a gap.
+		now := time.Now()
+		s.sessions.entomb(st.token, tombstone{
+			fnv: ss.PayloadFNV, pictures: ss.Pictures,
+			expires: now.Add(s.tombstoneTTL()),
+		}, now)
 	}
 	if err != nil {
 		s.failed++

@@ -62,6 +62,7 @@ type stream struct {
 	conn         net.Conn
 	fr           *transport.FrameReader
 	fw           *transport.FrameWriter
+	verdictDue   bool // conn still owes the sender its admission verdict
 	accepting    bool // parked and willing to adopt a resumed connection
 	resumeGone   bool // resume window expired; never deliver again
 	parked       bool

@@ -70,11 +70,6 @@ type (
 	Config = core.Config
 	// Schedule is a smoothing run's result: per-picture rates and timing.
 	Schedule = core.Schedule
-	// Variant selects the basic or moving-average rate-selection rule.
-	//
-	// Deprecated: set Config.Policy instead; Variant survives as an
-	// alias onto the corresponding policy.
-	Variant = core.Variant
 	// Policy owns rate selection within the Theorem 1 band the decision
 	// kernel accumulates; implement it to add a new selection rule.
 	Policy = core.Policy
@@ -116,9 +111,6 @@ type (
 	Observer = core.Observer
 	// Observation is the measurement handed to an Observer.
 	Observation = core.Observation
-	// LiveSmoother is the incremental, transport-embeddable smoother, a
-	// thin wrapper over Session kept for API stability.
-	LiveSmoother = core.LiveSmoother
 	// Decision is one live rate decision.
 	Decision = core.Decision
 	// DecisionStats accumulates Observer output into summary statistics.
@@ -137,12 +129,6 @@ const (
 	TypeI = mpeg.TypeI
 	TypeP = mpeg.TypeP
 	TypeB = mpeg.TypeB
-)
-
-// Rate-selection variants (deprecated aliases onto the policies).
-const (
-	Basic         = core.Basic
-	MovingAverage = core.MovingAverage
 )
 
 // ParsePolicy parses a command-line policy specification: basic,
@@ -196,13 +182,6 @@ func NewSession(tau float64, gop GOP, cfg Config, opts ...SessionOption) (*Sessi
 
 // WithObserver installs a per-decision observer hook on a Session.
 func WithObserver(o Observer) SessionOption { return core.WithObserver(o) }
-
-// NewLiveSmoother prepares an incremental smoother that consumes picture
-// sizes as the encoder produces them and emits rate decisions as soon as
-// they are determined. It computes exactly the schedule Smooth would.
-func NewLiveSmoother(tau float64, gop GOP, cfg Config) (*LiveSmoother, error) {
-	return core.NewLiveSmoother(tau, gop, cfg)
-}
 
 // The four MPEG video sequences of the paper's Section 5.1, reconstructed
 // as deterministic calibrated generators (see DESIGN.md §2).
